@@ -80,7 +80,7 @@ def _load_network(path: str) -> Network:
     """Read either a bare feeder document or a two-feeder scenario."""
     with open(path) as handle:
         doc = json.load(handle)
-    if "feeders" in doc:
+    if isinstance(doc, Mapping) and "feeders" in doc:
         doc["_dir"] = str(Path(path).resolve().parent)
         return build_scenario_network(doc)
     return load_feeder(path)

@@ -10,6 +10,10 @@ special handling.
 Volt-var units respond to voltage magnitude, so their reactive draw is held
 fixed inside each Newton solve and updated in an outer fixed-point loop until
 the draw is self-consistent.
+
+The network enters through its ``CompiledFeeder``: the Jacobian scales the
+dense nodal admittance, and loads arrive as per-class vectors, so a sweep
+over loads reuses one compile.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .model import Network
+from .model import CompiledFeeder, LoadArrays, Network
 
 Channel = tuple[str, str]
 
@@ -58,128 +62,69 @@ class PhasorSolution:
         return float(np.degrees(np.angle(self.V[(node, phase)])))
 
 
-class _ExactSystem:
-    """Per-network arrays for residual and Jacobian assembly."""
+def _load_current(cf: CompiledFeeder, inj, m_free: np.ndarray, v_free: np.ndarray) -> np.ndarray:
+    s_const, s_zmag, s_fixed = (a[cf.free] for a in inj)
+    return np.conj((s_const + s_zmag * m_free**2 + s_fixed) / v_free)
 
-    def __init__(self, net: Network, dispatch: Mapping[Channel, complex]):
-        idx = net.index
-        self.net = net
-        self.idx = idx
-        n_cls = len(idx.classes)
-        self.n_cls = n_cls
 
-        self.pinned = np.zeros(n_cls, dtype=bool)
-        self.v_init = np.empty(n_cls, dtype=complex)
-        for k, mem in enumerate(idx.classes):
-            phase = mem[0][1]
-            self.v_init[k] = net.slack_phasor(phase)
-        for k, v in idx.slack_value.items():
-            self.pinned[k] = True
-            self.v_init[k] = v
-        self.free = np.array(idx.free_classes, dtype=int)
+def mismatch(cf: CompiledFeeder, inj, m: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Current balance of every free class at polar class voltages (m, t).
 
-        # Load aggregates per class: s(m) = s_const + s_zmag * m^2 + s_fixed,
-        # where s_fixed collects caps, dispatch, and the frozen volt-var draw.
-        self.s_const = np.zeros(n_cls, dtype=complex)
-        self.s_zmag = np.zeros(n_cls, dtype=complex)
-        self.s_fixed = np.zeros(n_cls, dtype=complex)
-        for ld in net.loads:
-            k = idx.class_of[(ld.node, ld.phase)]
-            self.s_const[k] += ld.beta_s * ld.demand
-            self.s_zmag[k] += ld.beta_z * ld.demand
-            self.s_fixed[k] += -1j * ld.cap
-        for ch, w in dispatch.items():
-            if ch not in idx.class_of:
-                raise KeyError(f"dispatch channel {ch} not in network")
-            self.s_fixed[idx.class_of[ch]] += complex(w)
-        self.vvc_cls = np.array(
-            [idx.class_of[(u.node, u.phase)] for u in net.vvc_units], dtype=int
-        )
-        self.q_vvc = np.zeros(len(net.vvc_units))
+    ``inj`` holds the per-class (s_const, s_zmag, s_fixed) draw. Lines inject
+    the sum of their currents ``y (v_from - v_to)``, which equals ``-Y v``
+    but keeps each line's balance exact: the rows of a floating-point ``Y``
+    do not sum to exactly zero, which would act as a shunt of order
+    eps * |y| and shift the solution. The loads draw ``conj(s / v)``.
+    """
+    v = m * np.exp(1j * t)
+    return cf.line_injection(v)[cf.free] - _load_current(cf, inj, m[cf.free], v[cf.free])
 
-        self.lines = [
-            (idx.line_y[ln.name], idx.line_from_cls[ln.name], idx.line_to_cls[ln.name])
-            for ln in idx.real_lines
-        ]
 
-    def set_vvc(self, q: np.ndarray) -> None:
-        self.q_vvc = q
+def jacobian(cf: CompiledFeeder, inj, m: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Real Jacobian of ``mismatch`` over the free magnitudes, then angles.
 
-    def class_s(self, m: np.ndarray) -> np.ndarray:
-        s = self.s_const + self.s_zmag * m**2 + self.s_fixed
-        if len(self.vvc_cls):
-            np.add.at(s, self.vvc_cls, 1j * self.q_vvc)
-        return s
-
-    def residual(self, v: np.ndarray, m: np.ndarray) -> np.ndarray:
-        f = np.zeros(self.n_cls, dtype=complex)
-        for y, fc, tc in self.lines:
-            i = y @ (v[fc] - v[tc])
-            np.add.at(f, tc, i)
-            np.add.at(f, fc, -i)
-        drawn = np.conj(self.class_s(m) / v)
-        f -= drawn
-        return f[self.free]
-
-    def newton_matrices(self, v: np.ndarray, m: np.ndarray):
-        n = self.n_cls
-        f = np.zeros(n, dtype=complex)
-        jm = np.zeros((n, n), dtype=complex)
-        jt = np.zeros((n, n), dtype=complex)
-        u = v / m  # unit phasors: dV/dm per class
-        jv = 1j * v  # dV/dt per class
-        for y, fc, tc in self.lines:
-            i = y @ (v[fc] - v[tc])
-            np.add.at(f, tc, i)
-            np.add.at(f, fc, -i)
-            yuf = y * u[fc][None, :]
-            yut = y * u[tc][None, :]
-            yvf = y * jv[fc][None, :]
-            yvt = y * jv[tc][None, :]
-            jm[np.ix_(tc, fc)] += yuf
-            jm[np.ix_(tc, tc)] -= yut
-            jm[np.ix_(fc, fc)] -= yuf
-            jm[np.ix_(fc, tc)] += yut
-            jt[np.ix_(tc, fc)] += yvf
-            jt[np.ix_(tc, tc)] -= yvt
-            jt[np.ix_(fc, fc)] -= yvf
-            jt[np.ix_(fc, tc)] += yvt
-        s = self.class_s(m)
-        drawn = np.conj(s / v)
-        f -= drawn
-        didm = np.conj(2.0 * self.s_zmag * m) / np.conj(v) - drawn / m
-        didt = 1j * drawn
-        di = np.arange(n)
-        jm[di, di] -= didm
-        jt[di, di] -= didt
-        fr = self.free
-        return f[fr], jm[np.ix_(fr, fr)], jt[np.ix_(fr, fr)]
+    Rows are the real then the imaginary mismatch parts. The line part is
+    ``Y[free, free]`` scaled by dV/dm = v/m and dV/dt = 1j v per column; the
+    loads add a diagonal.
+    """
+    free = cf.free
+    nf = len(free)
+    mf = m[free]
+    v = mf * np.exp(1j * t[free])
+    drawn = _load_current(cf, inj, mf, v)
+    jm = -(cf.y_free_free * (v / mf))
+    jt = -(cf.y_free_free * (1j * v))
+    di = np.diag_indices(nf)
+    jm[di] -= np.conj(2.0 * inj[1][free] * mf) / np.conj(v) - drawn / mf
+    jt[di] -= 1j * drawn
+    jac = np.empty((2 * nf, 2 * nf))
+    jac[:nf, :nf], jac[:nf, nf:] = jm.real, jt.real
+    jac[nf:, :nf], jac[nf:, nf:] = jm.imag, jt.imag
+    return jac
 
 
 def _newton_solve(
-    sys: _ExactSystem, tol: float, max_iter: int, history: list[float]
+    cf: CompiledFeeder, inj, tol: float, max_iter: int, history: list[float]
 ) -> tuple[np.ndarray, int, float]:
     """Run Newton iterations; return (class voltages, steps, final residual)."""
-    m = np.abs(sys.v_init).astype(float)
-    t = np.angle(sys.v_init).astype(float)
-    free = sys.free
+    m = np.abs(cf.v_flat)
+    t = np.angle(cf.v_flat)
+    free = cf.free
+    nf = len(free)
     steps = 0
     for _ in range(max_iter + 1):
-        v = m * np.exp(1j * t)
-        f, jm, jt = sys.newton_matrices(v, m)
-        res = float(np.max(np.abs(f))) if len(f) else 0.0
+        f = mismatch(cf, inj, m, t)
+        res = float(np.max(np.abs(f))) if nf else 0.0
         history.append(res)
         if res <= tol:
-            return v, steps, res
+            return m * np.exp(1j * t), steps, res
         if steps >= max_iter:
             break
-        jac = np.block([[jm.real, jt.real], [jm.imag, jt.imag]])
         rhs = np.concatenate([f.real, f.imag])
         try:
-            delta = np.linalg.solve(jac, -rhs)
+            delta = np.linalg.solve(jacobian(cf, inj, m, t), -rhs)
         except np.linalg.LinAlgError as exc:
             raise NonConvergenceError(f"singular Jacobian: {exc}", history) from exc
-        nf = len(free)
         dm, dt = delta[:nf], delta[nf:]
         # Backtracking keeps heavy-load starts from overshooting.
         alpha = 1.0
@@ -189,8 +134,7 @@ def _newton_solve(
             m_try[free] = m[free] + alpha * dm
             t_try[free] = t[free] + alpha * dt
             if np.all(m_try[free] > 1e-6):
-                v_try = m_try * np.exp(1j * t_try)
-                r_try = sys.residual(v_try, m_try)
+                r_try = mismatch(cf, inj, m_try, t_try)
                 if float(np.max(np.abs(r_try))) < res:
                     break
             alpha *= 0.5
@@ -220,23 +164,46 @@ def solve_exact(
     injects. Raises ``NonConvergenceError`` when Newton or the volt-var
     loop fails.
     """
+    cf = net.compiled
+    return solve_exact_compiled(cf, cf.load_arrays(net.loads), dispatch, tol, max_iter,
+                                vvc_tol, max_vvc_iter)
+
+
+def solve_exact_compiled(
+    cf: CompiledFeeder,
+    loads: LoadArrays,
+    dispatch: Mapping[Channel, complex] | None = None,
+    tol: float = 1e-10,
+    max_iter: int = 50,
+    vvc_tol: float = 1e-9,
+    max_vvc_iter: int = 100,
+) -> PhasorSolution:
+    """``solve_exact`` on a compiled feeder with the given loads."""
     dispatch = {k: complex(v) for k, v in (dispatch or {}).items()}
-    sys = _ExactSystem(net, dispatch)
-    idx = net.index
-    units = net.vvc_units
+    s_const, s_zmag, s_fixed = cf.class_loads(loads)
+    for ch, w in dispatch.items():
+        if ch not in cf.channel_pos:
+            raise KeyError(f"dispatch channel {ch} not in network")
+        s_fixed[cf.channel_class[cf.channel_pos[ch]]] += w
+    units = cf.vvc_units
+
+    def newton(q: np.ndarray) -> tuple[np.ndarray, int, float]:
+        # The volt-var draw is held fixed inside each Newton solve.
+        s_vvc = s_fixed.copy()
+        np.add.at(s_vvc, cf.vvc_cls, 1j * q)
+        return _newton_solve(cf, (s_const, s_zmag, s_vvc), tol, max_iter, history)
 
     history: list[float] = []
     total_steps = 0
-    q = np.array([u.response(abs(net.slack_phasor(u.phase))) for u in units])
+    q = cf.vvc_q0
     if len(units) == 0:
-        v, steps, res = _newton_solve(sys, tol, max_iter, history)
+        v, steps, res = newton(q)
         total_steps = steps
     else:
         for outer in range(max_vvc_iter):
-            sys.set_vvc(q)
-            v, steps, res = _newton_solve(sys, tol, max_iter, history)
+            v, steps, res = newton(q)
             total_steps += steps
-            vm = np.abs(v[sys.vvc_cls])
+            vm = np.abs(v[cf.vvc_cls])
             q_new = np.array([u.response(x) for u, x in zip(units, vm)])
             if np.max(np.abs(q_new - q)) <= vvc_tol:
                 q = q_new
@@ -244,79 +211,34 @@ def solve_exact(
             q = q_new
         else:
             raise NonConvergenceError("volt-var fixed point did not settle", history)
-        sys.set_vvc(q)
-        v, steps, res = _newton_solve(sys, tol, max_iter, history)
+        v, steps, res = newton(q)
         total_steps += steps
 
-    return _build_solution(net, sys, v, q, dispatch, total_steps, res)
-
-
-def _channel_power(
-    net: Network,
-    v: dict[Channel, complex],
-    vvc_q: Mapping[Channel, float],
-    dispatch: Mapping[Channel, complex],
-) -> dict[Channel, complex]:
-    s: dict[Channel, complex] = {ch: 0.0 + 0.0j for ch in net.channels}
-    for ld in net.loads:
-        ch = (ld.node, ld.phase)
-        vm2 = abs(v[ch]) ** 2
-        s[ch] += (ld.beta_s + ld.beta_z * vm2) * ld.demand - 1j * ld.cap
-    for ch, q in vvc_q.items():
-        s[ch] += 1j * q
-    for ch, w in dispatch.items():
-        s[ch] += w
-    return s
+    return _build_solution(cf, loads, v, q, dispatch, total_steps, res)
 
 
 def _build_solution(
-    net: Network,
-    sys: _ExactSystem,
+    cf: CompiledFeeder,
+    loads: LoadArrays,
     v_cls: np.ndarray,
     q: np.ndarray,
     dispatch: dict[Channel, complex],
     steps: int,
     res: float,
 ) -> PhasorSolution:
-    idx = net.index
-    v = {ch: complex(v_cls[idx.class_of[ch]]) for ch in net.channels}
-    vvc_q = {(u.node, u.phase): float(qi) for u, qi in zip(net.vvc_units, q)}
+    v_ch = v_cls[cf.channel_class]
+    units = cf.vvc_units
     # Channels can share a class but vvc channels are distinct per unit.
-    s_node = _channel_power(net, v, vvc_q, dispatch)
-
-    currents: dict[str, np.ndarray] = {}
-    for ln in idx.real_lines:
-        vf = np.array([v[(ln.from_node, p)] for p in ln.phases])
-        vt = np.array([v[(ln.to_node, p)] for p in ln.phases])
-        currents[ln.name] = idx.line_y[ln.name] @ (vf - vt)
-
-    if idx.ideal_lines:
-        defect: dict[Channel, complex] = {}
-        for ch in net.channels:
-            d = np.conj(s_node[ch] / v[ch]) if s_node[ch] != 0 else 0.0 + 0.0j
-            defect[ch] = d
-        for ln in idx.real_lines:
-            i = currents[ln.name]
-            for pi, p in enumerate(ln.phases):
-                defect[(ln.from_node, p)] = defect.get((ln.from_node, p), 0j) + i[pi]
-                defect[(ln.to_node, p)] = defect.get((ln.to_node, p), 0j) - i[pi]
-        flows = idx.resolve_ideal_flows(defect)
-        for ln in idx.ideal_lines:
-            currents[ln.name] = np.array(
-                [flows.get((ln.name, pi), 0j) for pi in range(len(ln.phases))]
-            )
-
-    s_line: dict[str, np.ndarray] = {}
-    for name, i in currents.items():
-        ln = net.line_map[name]
-        vt = np.array([v[(ln.to_node, p)] for p in ln.phases])
-        s_line[name] = vt * np.conj(i)
-
+    vvc_q = {(u.node, u.phase): float(qi) for u, qi in zip(units, q)}
+    s_ch = cf.channel_power(loads, np.abs(v_ch) ** 2, q, dispatch)
+    i_real = cf.line_currents(v_cls)
+    i_all = np.concatenate([i_real, cf.ideal_flows(np.conj(s_ch / v_ch), i_real)])
+    s_all = v_ch[cf.line_to_ch] * np.conj(i_all)
     return PhasorSolution(
-        V=v,
-        I=currents,
-        S_line=s_line,
-        s_node=s_node,
+        V=dict(zip(cf.channels, v_ch.tolist())),
+        I=cf.per_line(i_all),
+        S_line=cf.per_line(s_all),
+        s_node=dict(zip(cf.channels, s_ch.tolist())),
         vvc_q=vvc_q,
         dispatch=dispatch,
         iterations=steps,
@@ -331,8 +253,11 @@ def kcl_residual(net: Network, sol: PhasorSolution) -> float:
     phasors (not from the stored per-channel powers), so it independently
     checks both the voltages and the recovered coupling flows.
     """
-    s = _channel_power(net, sol.V, sol.vvc_q, sol.dispatch)
-    bal = {ch: -np.conj(s[ch] / sol.V[ch]) for ch in net.channels}
+    cf = net.compiled
+    v = np.array([sol.V[ch] for ch in net.channels])
+    q = np.array([sol.vvc_q[(u.node, u.phase)] for u in net.vvc_units])
+    s = cf.channel_power(cf.load_arrays(net.loads), np.abs(v) ** 2, q, sol.dispatch)
+    bal = dict(zip(net.channels, (-np.conj(s / v)).tolist()))
     for ln in net.lines:
         if not ln.closed:
             continue

@@ -17,10 +17,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .exact import NonConvergenceError, PhasorSolution, solve_exact, switch_flow_estimate
+from .exact import (NonConvergenceError, PhasorSolution, solve_exact, solve_exact_compiled,
+                    switch_flow_estimate)
 from .feeders import apply_modifications, merge_with_switch, network_from_dict, relabel_nodes
-from .linear import LinearSolution, solve_linear
-from .model import DerSpec, LoadSpec, Network, VvcSpec, wrap_angle
+# solve_linear stays importable from here: perfbench/spans.py wraps it by name.
+from .linear import LinearSolution, solve_linear, solve_linear_compiled
+from .model import DerSpec, LoadArrays, Network, VvcSpec, wrap_angle
 from .opf import Dispatch, build_opf, solve_opf
 
 Channel = tuple[str, str]
@@ -40,16 +42,17 @@ def error_metrics(exact: PhasorSolution,
         raise ValueError("solutions cover different channels")
     if exact.S_line.keys() != approx.P.keys():
         raise ValueError("solutions cover different lines")
-    eps_mag = 0.0
-    eps_angle = 0.0
-    for ch, v in exact.V.items():
-        eps_mag = max(eps_mag, abs(abs(v) - math.sqrt(approx.E[ch])))
-        gap = wrap_angle(np.angle(v) - approx.theta[ch])
-        eps_angle = max(eps_angle, abs(math.degrees(gap)))
-    eps_power = 0.0
-    for name, s in exact.S_line.items():
-        lin = approx.P[name] + 1j * approx.Q[name]
-        eps_power = max(eps_power, float(np.max(np.abs(s - lin), initial=0.0)))
+    v = np.array(list(exact.V.values()))
+    e = np.array([approx.E[ch] for ch in exact.V])
+    theta = np.array([approx.theta[ch] for ch in exact.V])
+    eps_mag = float(np.max(np.abs(np.abs(v) - np.sqrt(e)), initial=0.0))
+    gap = wrap_angle(np.angle(v) - theta)
+    eps_angle = float(np.max(np.abs(np.degrees(gap)), initial=0.0))
+    names = list(exact.S_line)
+    s_exact = np.concatenate([exact.S_line[name] for name in names] or [np.zeros(0)])
+    s_lin = np.concatenate([approx.P[name] + 1j * approx.Q[name] for name in names]
+                           or [np.zeros(0)])
+    eps_power = float(np.max(np.abs(s_exact - s_lin), initial=0.0))
     return eps_mag, eps_angle, eps_power
 
 
@@ -83,27 +86,25 @@ def _substation_power(net: Network, sol: PhasorSolution) -> float:
 
 def _mc_cell(payload) -> list[ErrorRecord]:
     net, channels, dr, di, i, j, per_cell, seed = payload
+    cf = net.compiled
     rng = np.random.default_rng(np.random.SeedSequence([seed, i, j]))
     out = []
     n = len(channels)
+    beta_s, beta_z, cap = np.full(n, MC_BETA_S), np.full(n, MC_BETA_Z), np.zeros(n)
     for s_idx in range(per_cell):
         re = rng.uniform(0.0, dr, n)
         im = rng.uniform(0.0, di, n)
-        loads = tuple(
-            LoadSpec(node, phase, complex(re[m], im[m]), MC_BETA_S, MC_BETA_Z)
-            for m, (node, phase) in enumerate(channels)
-        )
-        trial = replace(net, loads=loads)
+        loads = LoadArrays(channels, re + 1j * im, beta_s, beta_z, cap)
         try:
-            exact = solve_exact(trial)
+            exact = solve_exact_compiled(cf, loads)
         except NonConvergenceError:
             out.append(ErrorRecord(dr, di, s_idx, float("nan"), float("nan"),
                                    float("nan"), float("nan"), converged=False))
             continue
-        approx = solve_linear(trial)
+        approx = solve_linear_compiled(cf, loads)
         eps_mag, eps_angle, eps_power = error_metrics(exact, approx)
         out.append(ErrorRecord(dr, di, s_idx, eps_mag, eps_angle, eps_power,
-                               _substation_power(trial, exact)))
+                               _substation_power(net, exact)))
     return out
 
 
@@ -115,8 +116,11 @@ def monte_carlo(net_base: Network, grid, scenarios_per_cell: int = 100,
     reactive axes or a (real_bounds, reactive_bounds) pair. Every spot-load
     channel of ``net_base`` receives an independent uniform draw per
     scenario; capacitors, controllable resources, and volt-var units are
-    removed so the zero-bound cell is exactly load-free. Each grid cell
-    draws from its own named substream, so results do not depend on
+    removed so the zero-bound cell is exactly load-free. The stripped
+    feeder is compiled once; each draw only fills its load arrays and runs
+    the same kernels as ``solve_exact`` and ``solve_linear``, so a record
+    equals the public solvers' result on that draw's network. Each grid
+    cell draws from its own named substream, so results do not depend on
     ``workers``.
     """
     if len(grid) == 2 and isinstance(grid[0], (list, tuple, np.ndarray)):
@@ -124,17 +128,14 @@ def monte_carlo(net_base: Network, grid, scenarios_per_cell: int = 100,
     else:
         re_axis = im_axis = [float(v) for v in grid]
 
-    channels = []
-    seen = set()
-    for ld in net_base.loads:
-        ch = (ld.node, ld.phase)
-        if ld.demand != 0 and ch not in seen:
-            seen.add(ch)
-            channels.append(ch)
     stripped = replace(net_base, loads=(), der_units=(), vvc_units=())
+    cf = stripped.compiled
+    channels = np.array(list(dict.fromkeys(
+        cf.channel_pos[(ld.node, ld.phase)] for ld in net_base.loads if ld.demand != 0)),
+        dtype=int)
 
     payloads = [
-        (stripped, tuple(channels), dr, di, i, j, scenarios_per_cell, seed)
+        (stripped, channels, dr, di, i, j, scenarios_per_cell, seed)
         for i, dr in enumerate(re_axis)
         for j, di in enumerate(im_axis)
     ]

@@ -9,6 +9,7 @@ can carry provenance notes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -30,12 +31,42 @@ from .model import (
 )
 
 
+def _num(v: Any, context: str) -> float:
+    """A finite real number from a document field."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise NetworkError(f"{context}: expected a finite number, got {v!r}")
+    return float(v)
+
+
+def _length(v: Any, context: str) -> float:
+    length = _num(v, context)
+    if length <= 0.0:
+        raise NetworkError(f"{context}: length_ft must be positive, got {length!r}")
+    return length
+
+
 def _cx(v: Any, context: str) -> complex:
     if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, Sequence) and len(v) == 2 and all(isinstance(x, (int, float)) for x in v):
-        return complex(v[0], v[1])
+        return complex(_num(v, context))
+    if isinstance(v, Sequence) and len(v) == 2:
+        return complex(_num(v[0], context), _num(v[1], context))
     raise NetworkError(f"{context}: expected a number or [re, im] pair, got {v!r}")
+
+
+def _phases(v: Any, context: str) -> tuple[str, ...]:
+    if not isinstance(v, (str, list)) or not all(isinstance(p, str) for p in v):
+        raise NetworkError(f"{context}: phases must be a string or a list of phase names, got {v!r}")
+    return canonical_phases(v)
+
+
+def _entries(doc: Mapping[str, Any], key: str, kind: type = list) -> Any:
+    """A top-level list (or mapping) section of a document; absent means empty."""
+    section = doc.get(key, kind())
+    if not isinstance(section, kind):
+        raise NetworkError(f"{key!r} must be {'a list' if kind is list else 'an object'}")
+    if kind is list and not all(isinstance(e, Mapping) for e in section):
+        raise NetworkError(f"every entry of {key!r} must be an object")
+    return section
 
 
 def _cx_matrix(rows: Any, context: str) -> list[list[complex]]:
@@ -57,15 +88,23 @@ def _strip_comments(obj: Any) -> Any:
 
 
 def network_from_dict(doc: Mapping[str, Any]) -> Network:
-    """Build a network from a parsed feeder document."""
+    """Build a network from a parsed feeder document.
+
+    Raises ``NetworkError`` on a malformed document: a section of the wrong
+    type, a non-finite number, or a non-positive line length.
+    """
+    if not isinstance(doc, Mapping):
+        raise NetworkError("a feeder document must be a JSON object")
     doc = _strip_comments(dict(doc))
 
-    bases = doc.get("bases", {})
-    s_base = float(bases.get("s_base_va", 1.0e6))
-    v_base = float(bases.get("v_base_v", 4160.0))
+    bases = _entries(doc, "bases", dict)
+    s_base = _num(bases.get("s_base_va", 1.0e6), "s_base_va")
+    v_base = _num(bases.get("v_base_v", 4160.0), "v_base_v")
+    if s_base <= 0.0 or v_base <= 0.0:
+        raise NetworkError("bases must be positive")
     z_base = v_base**2 / s_base
 
-    slack = doc.get("slack", {})
+    slack = _entries(doc, "slack", dict)
     slack_id = slack.get("node", "source")
     if "voltage" in slack:
         sv = tuple(_cx(v, "slack voltage") for v in slack["voltage"])
@@ -73,38 +112,39 @@ def network_from_dict(doc: Mapping[str, Any]) -> Network:
         sv = DEFAULT_SLACK_VOLTAGE
 
     nodes = tuple(
-        NodeSpec(id=str(n["id"]), phases=canonical_phases(n["phases"])) for n in doc.get("nodes", [])
+        NodeSpec(id=str(n["id"]), phases=_phases(n["phases"], f"node {n['id']}"))
+        for n in _entries(doc, "nodes")
     )
 
     configs: dict[str, LineConfig] = {}
-    for name, cfg in doc.get("line_configs", {}).items():
+    for name, cfg in _entries(doc, "line_configs", dict).items():
         if name == IDEAL_CONFIG:
             raise NetworkError(f"config name {IDEAL_CONFIG!r} is reserved")
-        phases = canonical_phases(cfg["phases"])
+        phases = _phases(cfg["phases"], f"config {name}")
         configs[name] = LineConfig(
             phases=phases, z_ohm_per_mile=_cx_matrix(cfg["z_ohm_per_mile"], f"config {name}")
         )
 
     lines = []
-    for entry in doc.get("lines", []):
+    for entry in _entries(doc, "lines"):
         frm, to = str(entry["from"]), str(entry["to"])
         name = str(entry.get("name", f"{frm}-{to}"))
         is_switch = bool(entry.get("is_switch", False))
         closed = bool(entry.get("closed", True))
         if "z_pu" in entry:
-            phases = canonical_phases(entry["phases"])
+            phases = _phases(entry["phases"], f"line {name}")
             z_pu = _cx_matrix(entry["z_pu"], f"line {name}")
         else:
             cfg_name = entry["config"]
             if cfg_name == IDEAL_CONFIG:
-                phases = canonical_phases(entry["phases"])
+                phases = _phases(entry["phases"], f"line {name}")
                 z_pu = [[0.0j] * len(phases) for _ in phases]
             else:
                 if cfg_name not in configs:
                     raise NetworkError(f"line {name}: unknown config {cfg_name!r}")
                 cfg = configs[cfg_name]
                 phases = cfg.phases
-                z_pu = cfg.z_pu(float(entry["length_ft"]), z_base).tolist()
+                z_pu = cfg.z_pu(_length(entry["length_ft"], f"line {name}"), z_base).tolist()
         lines.append(
             LineSpec(
                 from_node=frm,
@@ -118,20 +158,22 @@ def network_from_dict(doc: Mapping[str, Any]) -> Network:
         )
 
     loads = []
-    for entry in doc.get("loads", []):
+    for entry in _entries(doc, "loads"):
+        where = f"load at {entry.get('node')}.{entry.get('phase')}"
         loads.append(
             LoadSpec(
                 node=str(entry["node"]),
                 phase=str(entry["phase"]),
-                demand=complex(float(entry["re"]), float(entry["im"])),
-                beta_s=float(entry.get("beta_S", 1.0)),
-                beta_z=float(entry.get("beta_Z", 0.0)),
+                demand=complex(_num(entry["re"], where), _num(entry["im"], where)),
+                beta_s=_num(entry.get("beta_S", 1.0), where),
+                beta_z=_num(entry.get("beta_Z", 0.0), where),
                 cap=0.0,
             )
         )
     # Capacitor banks merge into the co-located load channel when one exists.
-    for entry in doc.get("caps", []):
-        node, phase, q = str(entry["node"]), str(entry["phase"]), float(entry["q_pu"])
+    for entry in _entries(doc, "caps"):
+        node, phase = str(entry["node"]), str(entry["phase"])
+        q = _num(entry["q_pu"], f"cap at {node}.{phase}")
         for i, ld in enumerate(loads):
             if ld.node == node and ld.phase == phase:
                 loads[i] = replace(ld, cap=ld.cap + q)
@@ -140,19 +182,17 @@ def network_from_dict(doc: Mapping[str, Any]) -> Network:
             loads.append(LoadSpec(node=node, phase=phase, demand=0j, cap=q))
 
     der = tuple(
-        DerSpec(node=str(e["node"]), phase=str(e["phase"]), capacity=float(e["capacity"]))
-        for e in doc.get("der", [])
+        DerSpec(node=str(e["node"]), phase=str(e["phase"]),
+                capacity=_num(e["capacity"], f"der at {e['node']}"))
+        for e in _entries(doc, "der")
     )
     vvc = tuple(
         VvcSpec(
             node=str(e["node"]),
             phase=str(e["phase"]),
-            q_min=float(e["q_min"]),
-            q_max=float(e["q_max"]),
-            v_min=float(e["v_min"]),
-            v_max=float(e["v_max"]),
+            **{k: _num(e[k], f"vvc at {e['node']}") for k in ("q_min", "q_max", "v_min", "v_max")},
         )
-        for e in doc.get("vvc", [])
+        for e in _entries(doc, "vvc")
     )
 
     return Network(
@@ -271,18 +311,20 @@ def apply_modifications(net: Network, mods: Sequence[Mapping[str, Any]]) -> Netw
         if op == "remove_regulator":
             net = _remove_regulator(net, str(mod["line"]))
         elif op == "replace_with_line":
-            net = _replace_with_line(net, str(mod["line"]), str(mod["config"]), float(mod["length_ft"]))
+            net = _replace_with_line(net, str(mod["line"]), str(mod["config"]),
+                                     _length(mod["length_ft"], "replace_with_line"))
         elif op == "add_spot_load":
             load = LoadSpec(
                 node=str(mod["node"]),
                 phase=str(mod["phase"]),
                 demand=_cx(mod["demand"], "add_spot_load"),
-                beta_s=float(mod.get("beta_s", 1.0)),
-                beta_z=float(mod.get("beta_z", 0.0)),
+                beta_s=_num(mod.get("beta_s", 1.0), "add_spot_load"),
+                beta_z=_num(mod.get("beta_z", 0.0), "add_spot_load"),
             )
             net = replace(net, loads=net.loads + (load,))
         elif op == "scale_loads":
-            net = scale_loads(net, float(mod["factor"]), include_caps=bool(mod.get("include_caps", False)))
+            net = scale_loads(net, _num(mod["factor"], "scale_loads"),
+                              include_caps=bool(mod.get("include_caps", False)))
         elif op == "add_switch":
             net = _add_switch(net, mod)
         else:
@@ -331,7 +373,6 @@ def _replace_with_line(net: Network, line_name: str, config: str, length_ft: flo
     if config not in net.line_configs:
         raise NetworkError(f"replace_with_line: unknown config {config!r}")
     cfg = net.line_configs[config]
-    phases = tuple(p for p in cfg.phases if p in ln.phases) or cfg.phases
     end_ok = set(net.node_map[ln.from_node].phases) & set(net.node_map[ln.to_node].phases)
     phases = canonical_phases(set(cfg.phases) & end_ok)
     z = cfg.z_pu(length_ft, net.z_base_ohm)
@@ -364,7 +405,7 @@ def _add_switch(net: Network, mod: Mapping[str, Any]) -> Network:
             raise NetworkError(f"add_switch: unknown config {cfg_name!r}")
         cfg = net.line_configs[cfg_name]
         phases = cfg.phases
-        z = cfg.z_pu(float(mod["length_ft"]), net.z_base_ohm)
+        z = cfg.z_pu(_length(mod["length_ft"], "add_switch"), net.z_base_ohm)
     line = LineSpec(
         from_node=frm,
         to_node=to,

@@ -18,56 +18,19 @@ variable per line phase suffices.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .model import Network, PHASE_INDEX
+# MnPair and build_mn belong to the linear model; they live in model so that
+# the compiled feeder can lay out the system pattern.
+from .model import CompiledFeeder, LoadArrays, MnPair, Network, build_mn
 from .exact import PhasorSolution
 
 Channel = tuple[str, str]
-
-_ALPHA = cmath.exp(2j * math.pi / 3.0)
-#: Nominal ratio V_phi / V_psi for a balanced counterclockwise set: a at 0,
-#: b at -120 degrees, c at +120 degrees.
-_ROTATION = np.array(
-    [
-        [1.0, _ALPHA, _ALPHA**2],
-        [_ALPHA**2, 1.0, _ALPHA],
-        [_ALPHA, _ALPHA**2, 1.0],
-    ],
-    dtype=complex,
-)
-
-
-@dataclass(frozen=True)
-class MnPair:
-    """Drop-equation coefficient matrices for one line."""
-
-    m: np.ndarray
-    n: np.ndarray
-
-
-def build_mn(z: np.ndarray, phases: tuple[str, ...]) -> MnPair:
-    """Rotation-weighted drop coefficients for an impedance over ``phases``.
-
-    The rotation factor is indexed by the global phase pair, so a two-phase
-    line uses the same per-pair weights as the corresponding sub-block of a
-    three-phase line.
-    """
-    z = np.asarray(z, dtype=complex)
-    k = len(phases)
-    if z.shape != (k, k):
-        raise ValueError(f"impedance must be {k}x{k}, got {z.shape}")
-    gi = [PHASE_INDEX[p] for p in phases]
-    rot = _ROTATION[np.ix_(gi, gi)]
-    w = rot * np.conj(z)
-    return MnPair(m=w.real.copy(), n=w.imag.copy())
 
 
 def exact_mn(z: np.ndarray, v_recv: np.ndarray) -> MnPair:
@@ -103,138 +66,27 @@ class LinearSolution:
 
 
 class LinearSystem:
-    """Square sparse equality system over [E; Theta; P; Q].
+    """The linear model's square sparse system for one set of loads.
 
-    Row layout: two drop rows per real line phase, then per class either two
-    balance rows or, for slack-tied classes, two pin rows. Exposes the class
-    balance row indices so dispatch terms (and optimization variables) can be
-    folded into the right-hand side.
+    Built on a compiled feeder's ``LinearPattern``. Exposes the class balance
+    row indices so dispatch terms (and optimization variables) can be folded
+    into the right-hand side.
     """
 
-    def __init__(self, net: Network):
-        idx = net.index
-        self.net = net
-        self.idx = idx
-        n_cls = len(idx.classes)
-        self.n_cls = n_cls
-
-        self.flows: list[tuple[str, int]] = []
-        self.flow_index: dict[tuple[str, int], int] = {}
-        for ln in idx.real_lines:
-            for pi in range(len(ln.phases)):
-                self.flow_index[(ln.name, pi)] = len(self.flows)
-                self.flows.append((ln.name, pi))
-        n_flow = len(self.flows)
-        self.n_flow = n_flow
-        self.n_state = 2 * n_cls + 2 * n_flow
-
-        self.col_e = lambda k: k
-        self.col_t = lambda k: n_cls + k
-        self.col_p = lambda f: 2 * n_cls + f
-        self.col_q = lambda f: 2 * n_cls + n_flow + f
-
-        rows_i: list[int] = []
-        cols_j: list[int] = []
-        vals: list[float] = []
-        b0 = []
-
-        def put(r: int, c: int, v: float) -> None:
-            rows_i.append(r)
-            cols_j.append(c)
-            vals.append(v)
-
-        r = 0
-        for ln in idx.real_lines:
-            mn = build_mn(ln.z, ln.phases)
-            fc = idx.line_from_cls[ln.name]
-            tc = idx.line_to_cls[ln.name]
-            base = self.flow_index[(ln.name, 0)]
-            for pi in range(len(ln.phases)):
-                put(r, self.col_e(int(fc[pi])), 1.0)
-                put(r, self.col_e(int(tc[pi])), -1.0)
-                for pj in range(len(ln.phases)):
-                    put(r, self.col_p(base + pj), -2.0 * mn.m[pi, pj])
-                    put(r, self.col_q(base + pj), 2.0 * mn.n[pi, pj])
-                b0.append(0.0)
-                r += 1
-                put(r, self.col_t(int(fc[pi])), 1.0)
-                put(r, self.col_t(int(tc[pi])), -1.0)
-                for pj in range(len(ln.phases)):
-                    put(r, self.col_p(base + pj), mn.n[pi, pj])
-                    put(r, self.col_q(base + pj), mn.m[pi, pj])
-                b0.append(0.0)
-                r += 1
-
-        # Class load aggregates.
-        s_const = np.zeros(n_cls, dtype=complex)
-        z_coef = np.zeros(n_cls, dtype=complex)
-        cap = np.zeros(n_cls)
-        k0 = np.zeros(n_cls)
-        k1 = np.zeros(n_cls)
-        for ld in net.loads:
-            k = idx.class_of[(ld.node, ld.phase)]
-            s_const[k] += ld.beta_s * ld.demand
-            z_coef[k] += ld.beta_z * ld.demand
-            cap[k] += ld.cap
-        for u in net.vvc_units:
-            k = idx.class_of[(u.node, u.phase)]
-            a0, a1 = u.linear_coeffs()
-            k0[k] += a0
-            k1[k] += a1
-
-        # Flow incidence per class: +1 arriving, -1 leaving.
-        arriving: dict[int, list[int]] = {}
-        leaving: dict[int, list[int]] = {}
-        for ln in idx.real_lines:
-            fc = idx.line_from_cls[ln.name]
-            tc = idx.line_to_cls[ln.name]
-            base = self.flow_index[(ln.name, 0)]
-            for pi in range(len(ln.phases)):
-                arriving.setdefault(int(tc[pi]), []).append(base + pi)
-                leaving.setdefault(int(fc[pi]), []).append(base + pi)
-
-        self.row_p: dict[int, int] = {}
-        self.row_q: dict[int, int] = {}
-        for k in range(n_cls):
-            if k in idx.slack_value:
-                vs = idx.slack_value[k]
-                put(r, self.col_e(k), 1.0)
-                b0.append(abs(vs) ** 2)
-                r += 1
-                put(r, self.col_t(k), 1.0)
-                b0.append(math.atan2(vs.imag, vs.real))
-                r += 1
-                continue
-            self.row_p[k] = r
-            for f in arriving.get(k, ()):
-                put(r, self.col_p(f), 1.0)
-            for f in leaving.get(k, ()):
-                put(r, self.col_p(f), -1.0)
-            put(r, self.col_e(k), -z_coef[k].real)
-            b0.append(s_const[k].real)
-            r += 1
-            self.row_q[k] = r
-            for f in arriving.get(k, ()):
-                put(r, self.col_q(f), 1.0)
-            for f in leaving.get(k, ()):
-                put(r, self.col_q(f), -1.0)
-            put(r, self.col_e(k), -(z_coef[k].imag + k1[k]))
-            b0.append(s_const[k].imag - cap[k] + k0[k])
-            r += 1
-
-        if r != self.n_state:
-            raise AssertionError(f"system is not square: {r} rows, {self.n_state} columns")
-        self.A = sp.csc_matrix(
-            sp.coo_matrix((vals, (rows_i, cols_j)), shape=(r, self.n_state))
-        )
-        self.b0 = np.array(b0)
-        self._k0 = k0
-        self._k1 = k1
+    def __init__(self, cf: CompiledFeeder, loads: LoadArrays):
+        self.cf = cf
+        self.loads = loads
+        pattern = cf.linear
+        self.row_p = pattern.row_p
+        self.row_q = pattern.row_q
+        s_const, s_zmag, s_fixed = cf.class_loads(loads)
+        self.A = pattern.matrix(s_zmag)
+        self.b0 = pattern.rhs(s_const + s_fixed)
 
     def rhs(self, dispatch: Mapping[Channel, complex] | None = None) -> np.ndarray:
         b = self.b0.copy()
         for ch, w in (dispatch or {}).items():
-            k = self.idx.class_of[ch]
+            k = self.cf.index.class_of[ch]
             if k not in self.row_p:
                 raise KeyError(f"dispatch channel {ch} sits on the slack")
             w = complex(w)
@@ -244,64 +96,33 @@ class LinearSystem:
 
     def injection_rows(self, ch: Channel) -> tuple[int, int]:
         """Balance row indices (P, Q) for a channel's class."""
-        k = self.idx.class_of[ch]
+        k = self.cf.index.class_of[ch]
         return self.row_p[k], self.row_q[k]
 
     def extract(
         self, x: np.ndarray, dispatch: Mapping[Channel, complex] | None, residual: float
     ) -> LinearSolution:
-        net, idx = self.net, self.idx
-        n = self.n_cls
-        e_cls = x[:n]
-        t_cls = x[n : 2 * n]
-        e = {ch: float(e_cls[idx.class_of[ch]]) for ch in net.channels}
-        th = {ch: float(t_cls[idx.class_of[ch]]) for ch in net.channels}
-
-        p: dict[str, np.ndarray] = {}
-        q: dict[str, np.ndarray] = {}
-        for ln in idx.real_lines:
-            base = self.flow_index[(ln.name, 0)]
-            k = len(ln.phases)
-            p[ln.name] = x[2 * n + base : 2 * n + base + k].copy()
-            q[ln.name] = x[2 * n + self.n_flow + base : 2 * n + self.n_flow + base + k].copy()
+        cf = self.cf
+        n, n_flow = cf.n_cls, cf.n_flow
+        e_ch = x[:n][cf.channel_class]
+        t_ch = x[n : 2 * n][cf.channel_class]
+        p_real = x[2 * n : 2 * n + n_flow]
+        q_real = x[2 * n + n_flow :]
 
         dispatch = {k_: complex(v) for k_, v in (dispatch or {}).items()}
-        vvc_q: dict[Channel, float] = {}
-        for u in net.vvc_units:
-            a0, a1 = u.linear_coeffs()
-            ch = (u.node, u.phase)
-            vvc_q[ch] = a0 + a1 * e[ch]
-
-        s: dict[Channel, complex] = {ch: 0j for ch in net.channels}
-        for ld in net.loads:
-            ch = (ld.node, ld.phase)
-            s[ch] += (ld.beta_s + ld.beta_z * e[ch]) * ld.demand - 1j * ld.cap
-        for ch, qv in vvc_q.items():
-            s[ch] += 1j * qv
-        for ch, w in dispatch.items():
-            s[ch] += w
-
-        if idx.ideal_lines:
-            defect: dict[Channel, complex] = {ch: s[ch] for ch in net.channels}
-            for ln in idx.real_lines:
-                flow = p[ln.name] + 1j * q[ln.name]
-                for pi, ph in enumerate(ln.phases):
-                    defect[(ln.from_node, ph)] += flow[pi]
-                    defect[(ln.to_node, ph)] -= flow[pi]
-            flows = idx.resolve_ideal_flows(defect)
-            for ln in idx.ideal_lines:
-                vec = np.array([flows.get((ln.name, pi), 0j) for pi in range(len(ln.phases))])
-                p[ln.name] = vec.real.copy()
-                q[ln.name] = vec.imag.copy()
-
+        q_vvc = cf.vvc_k0 + cf.vvc_k1 * e_ch[cf.vvc_ch]
+        s_ch = cf.channel_power(self.loads, e_ch, q_vvc, dispatch)
+        ideal = cf.ideal_flows(s_ch, p_real + 1j * q_real)
+        units = cf.vvc_units
         return LinearSolution(
-            E=e, theta=th, P=p, Q=q, s_node=s, vvc_q=vvc_q, residual_norm=residual
+            E=dict(zip(cf.channels, e_ch.tolist())),
+            theta=dict(zip(cf.channels, t_ch.tolist())),
+            P=cf.per_line(np.concatenate([p_real, ideal.real])),
+            Q=cf.per_line(np.concatenate([q_real, ideal.imag])),
+            s_node=dict(zip(cf.channels, s_ch.tolist())),
+            vvc_q={(u.node, u.phase): qv for u, qv in zip(units, q_vvc.tolist())},
+            residual_norm=residual,
         )
-
-
-def assemble(net: Network) -> LinearSystem:
-    """Build the square sparse linear-flow system for a network."""
-    return LinearSystem(net)
 
 
 def solve_linear(
@@ -313,7 +134,18 @@ def solve_linear(
 
     Dispatch is consumption-positive, matching the exact solver.
     """
-    sys_ = assemble(net)
+    cf = net.compiled
+    return solve_linear_compiled(cf, cf.load_arrays(net.loads), dispatch, residual_tol)
+
+
+def solve_linear_compiled(
+    cf: CompiledFeeder,
+    loads: LoadArrays,
+    dispatch: Mapping[Channel, complex] | None = None,
+    residual_tol: float = 1e-10,
+) -> LinearSolution:
+    """``solve_linear`` on a compiled feeder with the given loads."""
+    sys_ = LinearSystem(cf, loads)
     b = sys_.rhs(dispatch)
     x = spla.spsolve(sys_.A, b)
     res = float(np.max(np.abs(sys_.A @ x - b))) if len(b) else 0.0

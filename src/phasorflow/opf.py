@@ -12,6 +12,7 @@ projections are closed-form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -55,9 +56,10 @@ class _ReducedModel:
 
     def __init__(self, net: Network, targets: Sequence[tuple[str, str]],
                  channels: Sequence[Channel]):
-        self.system = LinearSystem(net)
+        cf = net.compiled
+        self.system = LinearSystem(cf, cf.load_arrays(net.loads))
         idx = net.index
-        lu = spla.splu(self.system.A.tocsc())
+        lu = spla.splu(self.system.A)
         n_state = self.system.A.shape[0]
         self.x0 = lu.solve(self.system.b0)
 
@@ -145,6 +147,14 @@ class OpfProblem:
     def weights(self) -> dict[str, float]:
         return {"magnitude": self.rho_mag, "angle": self.rho_angle,
                 "effort": self.rho_effort}
+
+    @cached_property
+    def m_map(self) -> np.ndarray:
+        """Stacked constraint image: the controls themselves (disk slots),
+        then the free-class E values (box slots)."""
+        k = len(self.channels)
+        b_e = self.model.b_e
+        return np.vstack([np.eye(2 * k), b_e]) if k else b_e.reshape(-1, 0)
 
 
 @dataclass(frozen=True)
@@ -240,9 +250,7 @@ def solve_opf(prob: OpfProblem, penalty: float = 1.0, tol: float = 1e-9,
     k = len(prob.channels)
     q, g, const = mdl.quadratic(prob.rho_mag, prob.rho_angle, prob.rho_effort)
 
-    # Stacked constraint image: the controls themselves (disk slots) then
-    # the free-class E values (box slots).
-    m_map = np.vstack([np.eye(2 * k), mdl.b_e]) if k else mdl.b_e.reshape(-1, 0)
+    m_map = prob.m_map
     m0 = np.concatenate([np.zeros(2 * k), mdl.e0])
 
     if k == 0:
@@ -370,9 +378,8 @@ def kkt_check(prob: OpfProblem, dispatch: Dispatch,
     ])
     q, g, _ = mdl.quadratic(prob.rho_mag, prob.rho_angle, prob.rho_effort)
     mu = dispatch.multipliers
-    m_map = np.vstack([np.eye(2 * k), mdl.b_e]) if k else mdl.b_e.reshape(-1, 0)
 
-    stationarity = float(np.max(np.abs(q @ c + g + m_map.T @ mu))) if k else 0.0
+    stationarity = float(np.max(np.abs(q @ c + g + prob.m_map.T @ mu))) if k else 0.0
 
     nrm = np.hypot(c[:k], c[k:]) if k else np.zeros(0)
     disk_violation = float(np.max(nrm - prob.caps, initial=0.0))

@@ -134,6 +134,39 @@ class TestExitCodes:
         assert rc == 64
 
 
+def _first_sized_line(doc):
+    return next(ln for ln in doc["lines"] if "length_ft" in ln)
+
+
+class TestMalformedDocuments:
+    """Each malformed feeder exits 1 with a one-line JSON error, never a
+    traceback, and a NaN is never reported as non-convergence."""
+
+    PROBES = {
+        "node_phases_not_a_list": ("ieee13.json", lambda d: d["nodes"][1].update(phases=5)),
+        "nodes_null": ("ieee13.json", lambda d: d.update(nodes=None)),
+        "nan_line_impedance": ("ieee13.json",
+                               lambda d: d["lines"][1]["z_pu"][0][0].__setitem__(0, float("nan"))),
+        "nan_load_demand": ("ieee13.json", lambda d: d["loads"][0].update(re=float("nan"))),
+        "negative_length": ("ieee13_raw.json",
+                            lambda d: _first_sized_line(d).update(length_ft=-100.0)),
+        "zero_length": ("ieee13_raw.json", lambda d: _first_sized_line(d).update(length_ft=0)),
+    }
+
+    @pytest.mark.parametrize("probe", sorted(PROBES))
+    def test_exit_1_without_traceback(self, capsys, tmp_path, data_dir, probe):
+        source, mutate = self.PROBES[probe]
+        doc = json.loads((data_dir / source).read_text())
+        mutate(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc, _, err = run(capsys, "solve", str(bad))
+        assert rc == 1
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert first_json_line(err)["error"] == "NetworkError"
+
+
 class TestSolveCommand:
     def test_json_stdout_shape(self, capsys, feeder13):
         rc, out, _ = run(capsys, "solve", feeder13)

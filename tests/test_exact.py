@@ -3,7 +3,9 @@ import pytest
 
 from phasorflow.exact import (
     NonConvergenceError,
+    jacobian,
     kcl_residual,
+    mismatch,
     solve_exact,
     switch_flow_estimate,
 )
@@ -231,3 +233,40 @@ class TestFlows:
         for name in ideal:
             assert np.all(np.isfinite(sol.S_line[name]))
             assert np.max(np.abs(sol.S_line[name])) > 0.01
+
+
+class TestJacobianOracle:
+    """The analytic Jacobian against a central difference of the mismatch."""
+
+    @staticmethod
+    def finite_difference(cf, inj, m, t, h=1e-6):
+        free = cf.free
+        cols = []
+        for var in (m, t):
+            for k in free:
+                up, dn = var.copy(), var.copy()
+                up[k] += h
+                dn[k] -= h
+                args_up = (up, t) if var is m else (m, up)
+                args_dn = (dn, t) if var is m else (m, dn)
+                df = (mismatch(cf, inj, *args_up) - mismatch(cf, inj, *args_dn)) / (2 * h)
+                cols.append(np.concatenate([df.real, df.imag]))
+        return np.array(cols).T
+
+    @pytest.mark.parametrize("case", ["ieee13", "meshed_dual13", "ieee37"])
+    def test_matches_central_difference(self, case, ieee13, ieee37, dual13):
+        net = {"ieee13": ieee13, "ieee37": ieee37,
+               "meshed_dual13": dual13.close_switch("tie-1680-2680")}[case]
+        cf = net.compiled
+        s_const, s_zmag, s_fixed = cf.class_loads(cf.load_arrays(net.loads))
+        # a frozen volt-var draw, as inside each Newton solve
+        np.add.at(s_fixed, cf.vvc_cls, 0.01j)
+        inj = (s_const, s_zmag, s_fixed)
+        # a generic point near the flat start, not a solution
+        rng = np.random.default_rng(7)
+        m = np.abs(cf.v_flat) * (1.0 + rng.uniform(-0.05, 0.05, cf.n_cls))
+        t = np.angle(cf.v_flat) + rng.uniform(-0.05, 0.05, cf.n_cls)
+        analytic = jacobian(cf, inj, m, t)
+        numeric = self.finite_difference(cf, inj, m, t)
+        assert analytic.shape == numeric.shape == (2 * len(cf.free),) * 2
+        assert np.max(np.abs(analytic - numeric)) <= 1e-6 * np.max(np.abs(analytic))

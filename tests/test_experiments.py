@@ -6,11 +6,14 @@ import pytest
 
 from phasorflow.exact import solve_exact
 from phasorflow.experiments import (
+    ErrorRecord,
     error_metrics,
     monte_carlo,
     report_to_dict,
 )
 from phasorflow.linear import solve_linear
+
+from test_acceptance import regenerate_draw
 
 
 class TestErrorMetrics:
@@ -70,6 +73,20 @@ class TestMonteCarlo:
         light = max(r.substation_power for r in recs if r.dr == 0.02 and r.di == 0.02)
         heavy = max(r.substation_power for r in recs if r.dr == 0.15 and r.di == 0.15)
         assert heavy > light
+
+    def test_records_equal_public_solves_of_their_draws(self, ieee13):
+        # the sweep compiles the feeder once; each record must still be
+        # exactly what the public solvers give on that draw's own network
+        grid = [0.04, 0.12]
+        recs = monte_carlo(ieee13, grid, scenarios_per_cell=3, seed=11)
+        assert len(recs) == 12
+        for rec in recs:
+            trial = regenerate_draw(ieee13, grid, 11, rec)
+            exact, approx = solve_exact(trial), solve_linear(trial)
+            s_sub = sum(float(np.sum(np.abs(exact.S_line[ln.name])))
+                        for ln in trial.lines if trial.slack_id in (ln.from_node, ln.to_node))
+            assert ErrorRecord(rec.dr, rec.di, rec.scenario_index,
+                               *error_metrics(exact, approx), s_sub) == rec
 
     def test_rectangular_grid_pairs(self, ieee13):
         recs = monte_carlo(ieee13, ([0.0, 0.1], [0.05]), scenarios_per_cell=1, seed=0)

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,3 +145,18 @@ def test_config_instantiation_scales_with_length(ieee13):
     z100 = cfg.z_pu(100.0, ieee13.z_base_ohm)
     z200 = cfg.z_pu(200.0, ieee13.z_base_ohm)
     assert np.allclose(z200, 2.0 * z100)
+
+
+def test_build_script_regenerates_shipped_data(tmp_path, data_dir, capsys):
+    # scripts/build_data.py is the source of every shipped document; running
+    # it into a scratch directory must reproduce them byte for byte
+    script = Path(__file__).resolve().parents[1] / "scripts" / "build_data.py"
+    spec = importlib.util.spec_from_file_location("build_data", script)
+    build_data = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(build_data)
+    build_data.DATA = tmp_path
+    build_data.main()
+    shipped = sorted(p.name for p in data_dir.glob("*.json"))
+    assert sorted(p.name for p in tmp_path.glob("*.json")) == shipped
+    for name in shipped:
+        assert (tmp_path / name).read_bytes() == (data_dir / name).read_bytes(), name
