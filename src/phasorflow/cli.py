@@ -266,7 +266,8 @@ def linearize(network_file: str, output: str | None, dispatch_file: str | None,
 @click.option("--rho-w", type=float, default=1.0, show_default=True,
               help="Weight on dispatch effort.")
 @click.option("--penalty", type=click.FloatRange(min_open=True, min=0.0), default=1.0,
-              show_default=True, help="Splitting penalty for the dispatch solver.")
+              show_default=True,
+              help="Starting splitting penalty; the solver rebalances it as it runs.")
 @click.option("--tol", type=float, default=None, callback=_check_tol,
               help="Solver residual tolerance (at most 1e-6; default 1e-9).")
 @click.option("--max-iter", type=click.IntRange(min=1), default=None, help="Solver iteration cap.")
@@ -325,7 +326,7 @@ def _parse_grid(text: str) -> list[float]:
               help="Random scenarios per grid cell.")
 @click.option("--seed", type=int, default=0, show_default=True, help="Base RNG seed.")
 @click.option("--workers", type=click.IntRange(min=1), default=None,
-              help="Worker processes (default: all cores).")
+              help="Worker processes; unset or 1 runs serially in this process.")
 @click.option("-o", "--output", required=True, type=click.Path(dir_okay=False),
               help="CSV file for the error records.")
 def montecarlo(network_file: str, grid: str, per_cell: int, seed: int,

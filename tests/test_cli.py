@@ -113,6 +113,19 @@ class TestExitCodes:
         assert rc == 3
         assert first_json_line(err)["error"] == "infeasible"
 
+    def test_certified_infeasible_box_exit_3(self, capsys, tmp_path, data_dir):
+        # |V| >= 1.15 everywhere is out of reach of the 0.05 p.u. DER; the
+        # dispatch solver must certify that rather than run to its cap
+        doc = json.loads((data_dir / "ieee13_dual.json").read_text())
+        for key in ("base_feeder", "shared_mods"):
+            doc[key] = json.loads((data_dir / doc[key]).read_text())
+        doc["voltage_bounds"] = {"e_min": 1.3225, "e_max": 1.5625}
+        path = tmp_path / "box.json"
+        path.write_text(json.dumps(doc))
+        rc, _, err = run(capsys, "scenario", str(path))
+        assert rc == 3
+        assert first_json_line(err)["error"] == "infeasible"
+
     def test_degenerate_weights_exit_1(self, capsys, dual13_path):
         rc, _, err = run(capsys, "opf", dual13_path, "--targets", "1680:2680",
                          "--rho-e", "0", "--rho-theta", "0", "--rho-w", "0")

@@ -8,6 +8,7 @@ from phasorflow.model import DerSpec, LineSpec, LoadSpec, Network, NodeSpec
 from phasorflow.opf import (
     DispatchConvergenceError,
     InfeasibleError,
+    _certify_infeasible,
     build_opf,
     kkt_check,
     solve_opf,
@@ -200,11 +201,87 @@ class TestSolverFailure:
         assert err.value.primal_residual > 0.0
 
     def test_impossible_box_is_flagged_infeasible(self):
-        # demanding E >= 1.15 everywhere cannot be met with 0.05 p.u. disks
+        # demanding |V| >= 1.15 everywhere cannot be met with 0.05 p.u. disks;
+        # the certificate must come well inside the iteration cap
         net = tiny_dual()
         prob = build_opf(net, [("m1", "m2")], WEIGHTS, e_min=1.3225, e_max=1.5625)
-        with pytest.raises((InfeasibleError, DispatchConvergenceError)):
-            solve_opf(prob)
+        with pytest.raises(InfeasibleError) as err:
+            solve_opf(prob, max_iter=999)
+        assert any(v.startswith("E(") for v in err.value.violations)
+
+    def test_tight_feasible_box_is_not_certified(self):
+        # the largest reachable min E is about 0.99629 (a max-min solve with
+        # scipy's SLSQP over the same disks): a box at 0.996 binds
+        # but is feasible, so the solve must converge, not certify
+        net = tiny_dual()
+        prob = build_opf(net, [("m1", "m2")], WEIGHTS, e_min=0.996)
+        got = solve_opf(prob)
+        assert kkt_check(prob, got).passed
+        c = np.concatenate([[got.w[ch].real for ch in prob.channels],
+                            [got.w[ch].imag for ch in prob.channels]])
+        e_vals = prob.model.e0 + prob.model.b_e @ c
+        assert np.min(e_vals) == pytest.approx(0.996, abs=1e-8)
+        assert np.max(np.abs(got.multipliers[2 * len(prob.channels):])) > 0.0
+
+    @pytest.mark.parametrize("e_min, sign, certified", [
+        (0.9025, 1.0, False),   # pushes on e_max of a feasible box
+        (0.9025, -1.0, False),  # pushes on e_min of a feasible box
+        (1.3225, -1.0, True),   # pushes on the impossible e_min
+    ])
+    def test_certificate_needs_negative_support(self, e_min, sign, certified):
+        # a multiplier step with M'dmu = 0 certifies only if its support
+        # value is negative; on a feasible box it never is (Farkas)
+        prob = build_opf(tiny_dual(), [("m1", "m2")], WEIGHTS,
+                         e_min=e_min, e_max=e_min + 0.2)
+        box = np.full(prob.model.b_e.shape[0], sign)
+        dmu = np.concatenate([-prob.model.b_e.T @ box, box])
+        assert np.max(np.abs(prob.m_map.T @ dmu)) <= 1e-12
+        if certified:
+            with pytest.raises(InfeasibleError):
+                _certify_infeasible(prob, dmu, 1)
+        else:
+            _certify_infeasible(prob, dmu, 1)
+
+
+def _dual13_problems(dual13, spec13):
+    targets = tuple(spec13["actions"][0]["targets"])
+    return [(name, targets, weights, build_opf(dual13, [targets], weights))
+            for name, weights in spec13["cases"].items() if weights]
+
+
+class TestAdaptivePenalty:
+    def test_dual13_converges_fast_and_matches_oracle(self, dual13, spec13):
+        caps = np.array([d.capacity for d in dual13.der_units])
+        for name, targets, weights, prob in _dual13_problems(dual13, spec13):
+            got = solve_opf(prob)
+            assert got.solver_stats["iterations"] <= 400, name
+            assert got.solver_stats["penalty_updates"] >= 1, name
+            assert got.solver_stats["penalty"] != 1.0, name
+            assert kkt_check(prob, got).passed, name
+
+            # the oracle has no voltage box; the box is slack at this optimum
+            assert min(got.linear.E.values()) > prob.e_min + 1e-3, name
+            assert max(got.linear.E.values()) < prob.e_max - 1e-3, name
+            c_ref, _, channels = projected_gradient_reference(
+                dual13, targets, weights, caps)
+            k = len(channels)
+            for i, ch in enumerate(channels):
+                assert abs(got.w[ch] - complex(c_ref[i], c_ref[k + i])) <= 1e-6, (name, ch)
+
+    def test_starting_penalty_does_not_move_dispatch(self, dual13, spec13):
+        for name, _, _, prob in _dual13_problems(dual13, spec13):
+            base = solve_opf(prob).w
+            for start in (1e-3, 1e3):
+                got = solve_opf(prob, penalty=start).w
+                assert max(abs(got[ch] - base[ch]) for ch in base) <= 1e-6, (name, start)
+
+    def test_dual37_keeps_its_starting_penalty(self, dual37, spec37):
+        targets = tuple(spec37["actions"][0]["targets"])
+        prob = build_opf(dual37, [targets], spec37["cases"]["PC"])
+        got = solve_opf(prob)
+        assert got.solver_stats["iterations"] == 33
+        assert got.solver_stats["penalty_updates"] == 0
+        assert got.solver_stats["penalty"] == 1.0
 
 
 def test_dispatch_solution_carries_linear_state(dual13):
