@@ -7,9 +7,9 @@ system together with the analytic partial derivatives of both the line
 currents and the voltage-dependent load currents. Meshed topologies need no
 special handling.
 
-Volt-var units respond to voltage magnitude, so their reactive draw is held
-fixed inside each Newton solve and updated in an outer fixed-point loop until
-the draw is self-consistent.
+Volt-var droops are clamps, piecewise linear in |V|, so they sit in the
+residual as a semismooth term: Newton uses the slope of each unit's active
+segment (Qi & Sun 1993), and one run settles voltages and volt-var together.
 
 The network enters through its ``CompiledFeeder``: the Jacobian scales the
 dense nodal admittance, and loads arrive as per-class vectors, so a sweep
@@ -29,7 +29,11 @@ Channel = tuple[str, str]
 
 
 class NonConvergenceError(RuntimeError):
-    """Newton iteration failed to reach the residual tolerance."""
+    """Newton iteration failed to reach the residual tolerance.
+
+    ``residual_history`` is the residual of every iterate of the one Newton
+    run, from the flat start to where it stopped.
+    """
 
     def __init__(self, message: str, residual_history: list[float]):
         super().__init__(message)
@@ -62,22 +66,31 @@ class PhasorSolution:
         return float(np.degrees(np.angle(self.V[(node, phase)])))
 
 
-def _load_current(cf: CompiledFeeder, inj, m_free: np.ndarray, v_free: np.ndarray) -> np.ndarray:
-    s_const, s_zmag, s_fixed = (a[cf.free] for a in inj)
-    return np.conj((s_const + s_zmag * m_free**2 + s_fixed) / v_free)
+def _draw(cf: CompiledFeeder, inj, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-class draw ``s(m)``, volt-var included, and ``ds/dm`` at magnitudes ``m``."""
+    s_const, s_zmag, s_fixed = inj
+    s = s_const + s_zmag * m**2 + s_fixed
+    ds = 2.0 * s_zmag * m
+    if len(cf.vvc_cls):
+        q, dq = cf.vvc_droop(m[cf.vvc_cls])
+        np.add.at(s, cf.vvc_cls, 1j * q)
+        np.add.at(ds, cf.vvc_cls, 1j * dq)
+    return s, ds
 
 
 def mismatch(cf: CompiledFeeder, inj, m: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Current balance of every free class at polar class voltages (m, t).
 
-    ``inj`` holds the per-class (s_const, s_zmag, s_fixed) draw. Lines inject
-    the sum of their currents ``y (v_from - v_to)``, which equals ``-Y v``
-    but keeps each line's balance exact: the rows of a floating-point ``Y``
-    do not sum to exactly zero, which would act as a shunt of order
-    eps * |y| and shift the solution. The loads draw ``conj(s / v)``.
+    ``inj`` holds the per-class (s_const, s_zmag, s_fixed) loads and dispatch,
+    no volt-var. Lines inject the sum of their currents ``y (v_from - v_to)``,
+    which equals ``-Y v`` but keeps each line's balance exact: the rows of a
+    floating-point ``Y`` do not sum to exactly zero, which would act as a
+    shunt of order eps * |y| and shift the solution. The loads draw
+    ``conj(s(m) / v)``, volt-var included.
     """
     v = m * np.exp(1j * t)
-    return cf.line_injection(v)[cf.free] - _load_current(cf, inj, m[cf.free], v[cf.free])
+    s = _draw(cf, inj, m)[0][cf.free]
+    return cf.line_injection(v)[cf.free] - np.conj(s / v[cf.free])
 
 
 def jacobian(cf: CompiledFeeder, inj, m: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -85,17 +98,19 @@ def jacobian(cf: CompiledFeeder, inj, m: np.ndarray, t: np.ndarray) -> np.ndarra
 
     Rows are the real then the imaginary mismatch parts. The line part is
     ``Y[free, free]`` scaled by dV/dm = v/m and dV/dt = 1j v per column; the
-    loads add a diagonal.
+    loads add a diagonal through ``ds/dm``, which carries the slope of each
+    volt-var unit's active droop segment.
     """
     free = cf.free
     nf = len(free)
     mf = m[free]
     v = mf * np.exp(1j * t[free])
-    drawn = _load_current(cf, inj, mf, v)
+    s, ds = (a[free] for a in _draw(cf, inj, m))
+    drawn = np.conj(s / v)
     jm = -(cf.y_free_free * (v / mf))
     jt = -(cf.y_free_free * (1j * v))
     di = np.diag_indices(nf)
-    jm[di] -= np.conj(2.0 * inj[1][free] * mf) / np.conj(v) - drawn / mf
+    jm[di] -= np.conj(ds) / np.conj(v) - drawn / mf
     jt[di] -= 1j * drawn
     jac = np.empty((2 * nf, 2 * nf))
     jac[:nf, :nf], jac[:nf, nf:] = jm.real, jt.real
@@ -104,13 +119,14 @@ def jacobian(cf: CompiledFeeder, inj, m: np.ndarray, t: np.ndarray) -> np.ndarra
 
 
 def _newton_solve(
-    cf: CompiledFeeder, inj, tol: float, max_iter: int, history: list[float]
+    cf: CompiledFeeder, inj, tol: float, max_iter: int
 ) -> tuple[np.ndarray, int, float]:
     """Run Newton iterations; return (class voltages, steps, final residual)."""
     m = np.abs(cf.v_flat)
     t = np.angle(cf.v_flat)
     free = cf.free
     nf = len(free)
+    history: list[float] = []
     steps = 0
     for _ in range(max_iter + 1):
         f = mismatch(cf, inj, m, t)
@@ -154,19 +170,15 @@ def solve_exact(
     dispatch: Mapping[Channel, complex] | None = None,
     tol: float = 1e-10,
     max_iter: int = 50,
-    vvc_tol: float = 1e-9,
-    max_vvc_iter: int = 100,
 ) -> PhasorSolution:
-    """Solve the exact power flow, iterating volt-var response to a fixed point.
+    """Solve the exact power flow; volt-var units settle inside the Newton run.
 
     ``dispatch`` maps (node, phase) channels to controllable complex power,
     consumption-positive: a positive real part adds load, a negative one
-    injects. Raises ``NonConvergenceError`` when Newton or the volt-var
-    loop fails.
+    injects. Raises ``NonConvergenceError`` when Newton fails.
     """
     cf = net.compiled
-    return solve_exact_compiled(cf, cf.load_arrays(net.loads), dispatch, tol, max_iter,
-                                vvc_tol, max_vvc_iter)
+    return solve_exact_compiled(cf, cf.load_arrays(net.loads), dispatch, tol, max_iter)
 
 
 def solve_exact_compiled(
@@ -175,8 +187,6 @@ def solve_exact_compiled(
     dispatch: Mapping[Channel, complex] | None = None,
     tol: float = 1e-10,
     max_iter: int = 50,
-    vvc_tol: float = 1e-9,
-    max_vvc_iter: int = 100,
 ) -> PhasorSolution:
     """``solve_exact`` on a compiled feeder with the given loads."""
     dispatch = {k: complex(v) for k, v in (dispatch or {}).items()}
@@ -185,36 +195,9 @@ def solve_exact_compiled(
         if ch not in cf.channel_pos:
             raise KeyError(f"dispatch channel {ch} not in network")
         s_fixed[cf.channel_class[cf.channel_pos[ch]]] += w
-    units = cf.vvc_units
-
-    def newton(q: np.ndarray) -> tuple[np.ndarray, int, float]:
-        # The volt-var draw is held fixed inside each Newton solve.
-        s_vvc = s_fixed.copy()
-        np.add.at(s_vvc, cf.vvc_cls, 1j * q)
-        return _newton_solve(cf, (s_const, s_zmag, s_vvc), tol, max_iter, history)
-
-    history: list[float] = []
-    total_steps = 0
-    q = cf.vvc_q0
-    if len(units) == 0:
-        v, steps, res = newton(q)
-        total_steps = steps
-    else:
-        for outer in range(max_vvc_iter):
-            v, steps, res = newton(q)
-            total_steps += steps
-            vm = np.abs(v[cf.vvc_cls])
-            q_new = np.array([u.response(x) for u, x in zip(units, vm)])
-            if np.max(np.abs(q_new - q)) <= vvc_tol:
-                q = q_new
-                break
-            q = q_new
-        else:
-            raise NonConvergenceError("volt-var fixed point did not settle", history)
-        v, steps, res = newton(q)
-        total_steps += steps
-
-    return _build_solution(cf, loads, v, q, dispatch, total_steps, res)
+    v, steps, res = _newton_solve(cf, (s_const, s_zmag, s_fixed), tol, max_iter)
+    q = cf.vvc_droop(np.abs(v[cf.vvc_cls]))[0]
+    return _build_solution(cf, loads, v, q, dispatch, steps, res)
 
 
 def _build_solution(

@@ -643,12 +643,24 @@ class CompiledFeeder:
 
         units = net.vvc_units
         self.vvc_units = units
-        #: Volt-var draw at the slack magnitude: where the fixed point starts.
-        self.vvc_q0 = np.array([u.response(abs(net.slack_phasor(u.phase))) for u in units])
         self.vvc_ch = np.array([pos[(u.node, u.phase)] for u in units], dtype=int)
         self.vvc_cls = self.channel_class[self.vvc_ch]
+        droop = np.array([(u.q_min, u.q_max, u.v_min, u.v_max, u.slope) for u in units])
+        self.vvc_qmin, self.vvc_qmax, self.vvc_vmin, self.vvc_vmax, self.vvc_slope = (
+            droop.reshape(-1, 5).T.copy())
         coeffs = np.array([u.linear_coeffs() for u in units], dtype=float).reshape(-1, 2)
         self.vvc_k0, self.vvc_k1 = coeffs[:, 0].copy(), coeffs[:, 1].copy()
+
+    def vvc_droop(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``VvcSpec.response`` and its slope at one magnitude per volt-var unit.
+
+        The slope is 0 outside the open band and at its edges: an element of
+        the clamp's generalized Jacobian, as a semismooth Newton step needs.
+        """
+        lo, hi = m <= self.vvc_vmin, m >= self.vvc_vmax
+        ramp = self.vvc_qmin + self.vvc_slope * (m - self.vvc_vmin)
+        q = np.where(lo, self.vvc_qmin, np.where(hi, self.vvc_qmax, ramp))
+        return q, np.where(lo | hi, 0.0, self.vvc_slope)
 
     def load_arrays(self, loads: Sequence[LoadSpec]) -> LoadArrays:
         """``LoadArrays`` of load specs on this network's channels."""

@@ -8,8 +8,10 @@ import sys
 import pytest
 
 import phasorflow.cli as climod
-from phasorflow import __version__
+from phasorflow import __version__, dump_feeder
 from phasorflow.cli import main
+from phasorflow.model import LoadSpec, VvcSpec
+from test_exact import two_bus
 
 SUBCOMMANDS = ["validate", "modify", "solve", "linearize", "opf", "montecarlo", "scenario"]
 
@@ -193,6 +195,19 @@ class TestSolveCommand:
         assert set(flows) == {"a", "b", "c"}
         assert all(len(v) == 2 for v in flows.values())
         assert doc["vvc_q"] == {}
+
+    def test_steep_volt_var_droop_solves(self, capsys, tmp_path):
+        # a 0.001 p.u. droop band: an outer fixed point on the volt-var draw
+        # never settles it, Newton with the droop in its residual does
+        net = two_bus([LoadSpec("m", p, 0.5 + 0.2j, beta_s=1.0, beta_z=0.0) for p in "abc"],
+                      [VvcSpec("m", p, -0.1, 0.1, 0.995, 0.996) for p in "abc"])
+        path = tmp_path / "steep.json"
+        dump_feeder(net, path)
+        rc, out, _ = run(capsys, "solve", str(path))
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["iterations"] <= 10
+        assert set(doc["vvc_q"]) == {"m.a", "m.b", "m.c"}
 
     def test_radians_flag(self, capsys, feeder13):
         rc, out, _ = run(capsys, "solve", feeder13, "--radians")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -90,9 +92,32 @@ def sweep_reference(net):
     return v
 
 
+def vvc_fixed_point_reference(net, dispatch=None):
+    """Volt-var settled by an outer fixed point around a volt-var-free solve.
+
+    Strips the units and iterates ``q <- VvcSpec.response(|V|)``, holding
+    each unit's draw fixed as dispatch ``1j q`` on its channel (summed onto
+    any dispatch already there), until ``q`` moves by at most 1e-13.
+    Returns the last solution and the response at it. Shares the Newton
+    solver but none of its volt-var handling.
+    """
+    bare = replace(net, vvc_units=())
+    chans = [(u.node, u.phase) for u in net.vvc_units]
+    q = [u.response(abs(net.slack_phasor(u.phase))) for u in net.vvc_units]
+    for _ in range(200):
+        w = dict(dispatch or {})
+        for ch, qu in zip(chans, q):
+            w[ch] = w.get(ch, 0.0) + 1j * qu
+        sol = solve_exact(bare, dispatch=w)
+        q_new = [u.response(abs(sol.V[ch])) for u, ch in zip(net.vvc_units, chans)]
+        if max(abs(a - b) for a, b in zip(q_new, q)) <= 1e-13:
+            return sol, dict(zip(chans, q_new))
+        q = q_new
+    raise AssertionError("volt-var fixed point did not settle")
+
+
 class TestZeroLoad:
     def test_flat_profile_is_exact(self, ieee13):
-        from dataclasses import replace
         empty = replace(ieee13, loads=())
         sol = solve_exact(empty)
         assert sol.iterations <= 2
@@ -100,7 +125,6 @@ class TestZeroLoad:
             assert v == pytest.approx(ieee13.slack_phasor(phase), abs=1e-14)
 
     def test_zero_load_line_flows_vanish(self, ieee13):
-        from dataclasses import replace
         sol = solve_exact(replace(ieee13, loads=()))
         for arr in sol.S_line.values():
             assert np.max(np.abs(arr)) < 1e-13
@@ -147,7 +171,7 @@ class TestSweepOracle:
         assert dual13.vvc_units and dual13.open_switches
         v = sweep_reference(dual13)
         sol = solve_exact(dual13)
-        assert max(abs(v[ch] - sol.V[ch]) for ch in dual13.channels) <= 1e-9
+        assert max(abs(v[ch] - sol.V[ch]) for ch in dual13.channels) <= 1e-11
 
 
 class TestConvergence:
@@ -204,7 +228,7 @@ class TestVvc:
         sol = solve_exact(net)
         q = sol.vvc_q[("m", "a")]
         assert vvc.q_min <= q <= vvc.q_max
-        assert q == pytest.approx(vvc.response(abs(sol.V[("m", "a")])), abs=1e-8)
+        assert q == pytest.approx(vvc.response(abs(sol.V[("m", "a")])), abs=1e-12)
 
     def test_vvc_raises_sagging_voltage(self):
         loads = [LoadSpec("m", p, 0.5 + 0.2j, beta_s=1.0, beta_z=0.0) for p in "abc"]
@@ -214,6 +238,47 @@ class TestVvc:
         helped = solve_exact(two_bus(loads, vvc=vvc))
         for p in "abc":
             assert abs(helped.V[("m", p)]) > abs(bare.V[("m", p)])
+
+
+class TestVvcFixedPointOracle:
+    """Volt-var inside Newton against the outer fixed point it replaced."""
+
+    @pytest.mark.parametrize("case", ["open", "meshed", "open_pc"])
+    def test_matches_outer_fixed_point(self, case, dual13, request):
+        net = dual13.close_switch("tie-1680-2680") if case == "meshed" else dual13
+        w = request.getfixturevalue("report13").case("PC").w if case == "open_pc" else None
+        ref, q_ref = vvc_fixed_point_reference(net, w)
+        sol = solve_exact(net, dispatch=w)
+        assert sol.iterations <= 10
+        assert max(abs(ref.V[ch] - sol.V[ch]) for ch in net.channels) <= 1e-8
+        assert max(abs(q_ref[ch] - sol.vvc_q[ch]) for ch in q_ref) <= 1e-8
+
+
+class TestVvcNarrowBand:
+    """Droops too steep for an outer fixed point, and a saturated one."""
+
+    LOADS = [LoadSpec("m", p, 0.5 + 0.2j, beta_s=1.0, beta_z=0.0) for p in "abc"]
+
+    def solve(self, v_min, v_max):
+        net = two_bus(self.LOADS, [VvcSpec("m", p, q_min=-0.1, q_max=0.1,
+                                           v_min=v_min, v_max=v_max) for p in "abc"])
+        sol = solve_exact(net)
+        assert sol.iterations <= 10
+        assert kcl_residual(net, sol) < 1e-9
+        for u in net.vvc_units:
+            ch = (u.node, u.phase)
+            assert sol.vvc_q[ch] == pytest.approx(u.response(abs(sol.V[ch])), abs=1e-12)
+        return net, sol
+
+    def test_steep_droop_converges_inside_band(self):
+        # a 0.001 p.u. band: the outer fixed point oscillates and never settles
+        net, sol = self.solve(0.995, 0.996)
+        for u in net.vvc_units:
+            assert u.v_min < abs(sol.V[(u.node, u.phase)]) < u.v_max
+
+    def test_saturated_droop_sits_on_its_cap(self):
+        net, sol = self.solve(0.98, 0.99)
+        assert all(q == 0.1 for q in sol.vvc_q.values())
 
 
 class TestFlows:
@@ -258,14 +323,14 @@ class TestJacobianOracle:
         net = {"ieee13": ieee13, "ieee37": ieee37,
                "meshed_dual13": dual13.close_switch("tie-1680-2680")}[case]
         cf = net.compiled
-        s_const, s_zmag, s_fixed = cf.class_loads(cf.load_arrays(net.loads))
-        # a frozen volt-var draw, as inside each Newton solve
-        np.add.at(s_fixed, cf.vvc_cls, 0.01j)
-        inj = (s_const, s_zmag, s_fixed)
+        inj = cf.class_loads(cf.load_arrays(net.loads))
         # a generic point near the flat start, not a solution
         rng = np.random.default_rng(7)
         m = np.abs(cf.v_flat) * (1.0 + rng.uniform(-0.05, 0.05, cf.n_cls))
         t = np.angle(cf.v_flat) + rng.uniform(-0.05, 0.05, cf.n_cls)
+        if case == "meshed_dual13":
+            # the volt-var slope enters only for units inside their band
+            assert np.any(cf.vvc_droop(m[cf.vvc_cls])[1] != 0.0)
         analytic = jacobian(cf, inj, m, t)
         numeric = self.finite_difference(cf, inj, m, t)
         assert analytic.shape == numeric.shape == (2 * len(cf.free),) * 2

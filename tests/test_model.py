@@ -224,3 +224,14 @@ class TestVvcProperties:
         v = unit.v_min + t * (unit.v_max - unit.v_min)
         k0, k1 = unit.linear_coeffs()
         assert k0 + k1 * (2.0 * v - 1.0) == pytest.approx(unit.response(v), abs=1e-12)
+
+    @given(vvc_units, st.floats(min_value=-1.0, max_value=2.0))
+    def test_compiled_droop_matches_response(self, unit, t):
+        # t < 0 lies below the band, 0 < t < 1 inside it, t > 1 above it;
+        # the band edges themselves are checked at every example
+        width = unit.v_max - unit.v_min
+        m = np.array([unit.v_min + t * width, unit.v_min, unit.v_max])
+        q, dq = two_node(vvc_units=(unit,)).compiled.vvc_droop(m)
+        assert q.tolist() == [unit.response(x) for x in m.tolist()]
+        inside = [unit.v_min < x < unit.v_max for x in m.tolist()]
+        assert dq.tolist() == [unit.slope if i else 0.0 for i in inside]
