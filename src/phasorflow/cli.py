@@ -91,11 +91,17 @@ def _load_dispatch(path: str | None) -> dict[tuple[str, str], complex] | None:
         return None
     with open(path) as handle:
         doc = json.load(handle)
+    if not isinstance(doc, Mapping):
+        raise NetworkError("dispatch file must be an object of 'node.phase': [p, q]")
     out: dict[tuple[str, str], complex] = {}
     for key, val in doc.items():
         node, _, phase = key.rpartition(".")
         if not node or phase not in ("a", "b", "c"):
             raise NetworkError(f"dispatch key {key!r} is not 'node.phase'")
+        if not (isinstance(val, list) and len(val) == 2 and all(
+                isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+                for x in val)):
+            raise NetworkError(f"dispatch {key!r}: expected [p, q] finite numbers, got {val!r}")
         out[(node, phase)] = complex(val[0], val[1])
     return out
 

@@ -13,16 +13,15 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .exact import (NonConvergenceError, PhasorSolution, solve_exact, solve_exact_compiled,
-                    switch_flow_estimate)
+from .exact import PhasorSolution, exact_state, newton_batch, solve_exact, switch_flow_estimate
 from .feeders import apply_modifications, merge_with_switch, network_from_dict, relabel_nodes
 # solve_linear stays importable from here: perfbench/spans.py wraps it by name.
-from .linear import LinearSolution, solve_linear, solve_linear_compiled
-from .model import DerSpec, LoadArrays, Network, VvcSpec, wrap_angle
+from .linear import LinearSolution, linear_response, linear_state, solve_linear
+from .model import DerSpec, LoadArrays, Network, NetworkError, VvcSpec, wrap_angle
 from .opf import Dispatch, build_opf, solve_opf
 
 Channel = tuple[str, str]
@@ -42,17 +41,25 @@ def error_metrics(exact: PhasorSolution,
         raise ValueError("solutions cover different channels")
     if exact.S_line.keys() != approx.P.keys():
         raise ValueError("solutions cover different lines")
-    v = np.array(list(exact.V.values()))
-    e = np.array([approx.E[ch] for ch in exact.V])
-    theta = np.array([approx.theta[ch] for ch in exact.V])
-    eps_mag = float(np.max(np.abs(np.abs(v) - np.sqrt(e)), initial=0.0))
-    gap = wrap_angle(np.angle(v) - theta)
-    eps_angle = float(np.max(np.abs(np.degrees(gap)), initial=0.0))
     names = list(exact.S_line)
-    s_exact = np.concatenate([exact.S_line[name] for name in names] or [np.zeros(0)])
-    s_lin = np.concatenate([approx.P[name] + 1j * approx.Q[name] for name in names]
-                           or [np.zeros(0)])
-    eps_power = float(np.max(np.abs(s_exact - s_lin), initial=0.0))
+    eps = _errors(
+        np.array(list(exact.V.values())),
+        np.array([approx.E[ch] for ch in exact.V]),
+        np.array([approx.theta[ch] for ch in exact.V]),
+        np.concatenate([exact.S_line[name] for name in names] or [np.zeros(0)]),
+        np.concatenate([approx.P[name] + 1j * approx.Q[name] for name in names]
+                       or [np.zeros(0)]),
+    )
+    return tuple(float(x) for x in eps)
+
+
+def _errors(v, e, theta, s_exact, s_lin) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``error_metrics`` over the last axis: channel phasors ``v`` against
+    linear ``e``/``theta``, exact flows ``s_exact`` against ``s_lin``."""
+    eps_mag = np.max(np.abs(np.abs(v) - np.sqrt(e)), axis=-1, initial=0.0)
+    gap = wrap_angle(np.angle(v) - theta)
+    eps_angle = np.max(np.abs(np.degrees(gap)), axis=-1, initial=0.0)
+    eps_power = np.max(np.abs(s_exact - s_lin), axis=-1, initial=0.0)
     return eps_mag, eps_angle, eps_power
 
 
@@ -76,36 +83,53 @@ class ErrorRecord:
     converged: bool = True
 
 
-def _substation_power(net: Network, sol: PhasorSolution) -> float:
-    total = 0.0
+def _substation_power(net: Network, s_line: np.ndarray) -> np.ndarray:
+    """Summed |S| of every line at the slack, per row of flat line powers."""
+    cf = net.compiled
+    pos = dict(zip(cf.line_names, cf.line_slices))
+    total = np.zeros(s_line.shape[:-1])
     for ln in net.lines:
         if ln.closed and net.slack_id in (ln.from_node, ln.to_node):
-            total += float(np.sum(np.abs(sol.S_line[ln.name])))
+            total += np.sum(np.abs(s_line[..., pos[ln.name]]), axis=-1)
     return total
 
 
 def _mc_cell(payload) -> list[ErrorRecord]:
     net, channels, dr, di, i, j, per_cell, seed = payload
-    cf = net.compiled
     rng = np.random.default_rng(np.random.SeedSequence([seed, i, j]))
-    out = []
     n = len(channels)
-    beta_s, beta_z, cap = np.full(n, MC_BETA_S), np.full(n, MC_BETA_Z), np.zeros(n)
+    demand = np.empty((per_cell, n), dtype=complex)
     for s_idx in range(per_cell):
         re = rng.uniform(0.0, dr, n)
         im = rng.uniform(0.0, di, n)
-        loads = LoadArrays(channels, re + 1j * im, beta_s, beta_z, cap)
-        try:
-            exact = solve_exact_compiled(cf, loads)
-        except NonConvergenceError:
-            out.append(ErrorRecord(dr, di, s_idx, float("nan"), float("nan"),
-                                   float("nan"), float("nan"), converged=False))
-            continue
-        approx = solve_linear_compiled(cf, loads)
-        eps_mag, eps_angle, eps_power = error_metrics(exact, approx)
-        out.append(ErrorRecord(dr, di, s_idx, eps_mag, eps_angle, eps_power,
-                               _substation_power(net, exact)))
-    return out
+        demand[s_idx] = re + 1j * im
+    loads = LoadArrays(channels, demand, np.full(n, MC_BETA_S), np.full(n, MC_BETA_Z),
+                       np.zeros(n))
+    return _mc_records(net, loads, dr, di)
+
+
+def _mc_records(net: Network, loads: LoadArrays, dr: float, di: float) -> list[ErrorRecord]:
+    """One record per draw (row of ``loads.demand``) on the stripped feeder ``net``.
+
+    Both solvers run on the whole batch, and the errors and substation
+    power come from their arrays, in the same order of operations as
+    ``error_metrics`` and the public solvers on one draw.
+    """
+    cf = net.compiled
+    newton = newton_batch(cf, cf.class_loads(loads))
+    ok = np.array([e is None for e in newton.error], dtype=bool)
+    eps = np.full((4, len(ok)), np.nan)
+    if ok.any():
+        kept = LoadArrays(loads.channel, loads.demand[ok], loads.beta_s, loads.beta_z,
+                          loads.cap)
+        exact = exact_state(cf, kept, newton.v[ok], {})
+        approx = linear_state(cf, kept, linear_response(cf, kept)[0])
+        eps[:3, ok] = _errors(exact.V, approx.E, approx.theta, exact.S_line,
+                              approx.P + 1j * approx.Q)
+        eps[3, ok] = _substation_power(net, exact.S_line)
+    return [ErrorRecord(dr, di, s_idx, *(float(x) for x in eps[:, s_idx]),
+                        converged=bool(ok[s_idx]))
+            for s_idx in range(len(ok))]
 
 
 def monte_carlo(net_base: Network, grid, scenarios_per_cell: int = 100,
@@ -117,11 +141,11 @@ def monte_carlo(net_base: Network, grid, scenarios_per_cell: int = 100,
     channel of ``net_base`` receives an independent uniform draw per
     scenario; capacitors, controllable resources, and volt-var units are
     removed so the zero-bound cell is exactly load-free. The stripped
-    feeder is compiled once; each draw only fills its load arrays and runs
-    the same kernels as ``solve_exact`` and ``solve_linear``, so a record
-    equals the public solvers' result on that draw's network. Each grid
-    cell draws from its own named substream, so results do not depend on
-    ``workers``.
+    feeder is compiled once, and each grid cell's draws are solved as one
+    batch by the same kernels that ``solve_exact`` and ``solve_linear`` run
+    on a batch of one, so a record equals the public solvers' result on
+    that draw's network. Each grid cell draws from its own named
+    substream, so results do not depend on ``workers``.
     """
     if len(grid) == 2 and isinstance(grid[0], (list, tuple, np.ndarray)):
         re_axis, im_axis = [float(v) for v in grid[0]], [float(v) for v in grid[1]]
@@ -188,6 +212,9 @@ def build_scenario_network(spec: Mapping, base_dir: str | Path | None = None) ->
         raise ValueError("scenario needs exactly two feeders")
     built = []
     for feeder in feeders:
+        if not isinstance(feeder, Mapping) or not isinstance(feeder.get("prefix"), str):
+            raise NetworkError(
+                f"scenario feeder {feeder!r} is not an object with a string 'prefix'")
         net = apply_modifications(base, feeder.get("mods", []))
         net = relabel_nodes(net, feeder["prefix"], keep=(base.slack_id,))
         built.append(net)
@@ -243,7 +270,10 @@ class ScenarioReport:
         raise KeyError(name)
 
 
-def _run_action(net: Network, action: Mapping, spec: Mapping) -> ScenarioReport:
+def _run_action(net: Network, closed: Network, action: Mapping,
+                spec: Mapping) -> ScenarioReport:
+    """Every control case of one switching action: ``net`` with the switch
+    open, ``closed`` the same network with it closed."""
     switch_name = action["switch"]
     k1, k2 = action["targets"]
     bounds = spec.get("voltage_bounds", {})
@@ -274,7 +304,7 @@ def _run_action(net: Network, action: Mapping, spec: Mapping) -> ScenarioReport:
         vt = np.array([open_sol.V[(line.to_node, p)] for p in phases])
         est = switch_flow_estimate(vf, vt, y)
 
-        closed_sol = solve_exact(net.close_switch(switch_name), dispatch=w)
+        closed_sol = solve_exact(closed, dispatch=w)
         s_closed = closed_sol.S_line[switch_name]
 
         results.append(CaseResult(
@@ -296,7 +326,8 @@ def _run_action(net: Network, action: Mapping, spec: Mapping) -> ScenarioReport:
 def run_switch_scenario(spec: Mapping, base_dir: str | Path | None = None) -> ScenarioReport:
     """Evaluate every control case for the scenario's first switching action."""
     net = build_scenario_network(spec, base_dir)
-    return _run_action(net, spec["actions"][0], spec)
+    action = spec["actions"][0]
+    return _run_action(net, net.close_switch(action["switch"]), action, spec)
 
 
 def run_sequential_switching(spec: Mapping,
@@ -309,8 +340,9 @@ def run_sequential_switching(spec: Mapping,
     net = build_scenario_network(spec, base_dir)
     reports = []
     for action in spec["actions"]:
-        reports.append(_run_action(net, action, spec))
-        net = net.close_switch(action["switch"])
+        closed = net.close_switch(action["switch"])
+        reports.append(_run_action(net, closed, action, spec))
+        net = closed
     return reports
 
 

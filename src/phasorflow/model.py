@@ -22,6 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 PHASES: tuple[str, ...] = ("a", "b", "c")
 PHASE_INDEX: dict[str, int] = {"a": 0, "b": 1, "c": 2}
@@ -551,7 +552,9 @@ class LoadArrays:
     """Loads as parallel arrays, one entry per load.
 
     ``channel`` indexes ``Network.channels``. Each load consumes
-    ``(beta_s + beta_z * |V|^2) * demand - 1j * cap``.
+    ``(beta_s + beta_z * |V|^2) * demand - 1j * cap``. ``demand`` may carry
+    a leading batch axis, one row per draw of a sweep; every other field is
+    shared by the whole batch.
     """
 
     channel: np.ndarray
@@ -559,6 +562,10 @@ class LoadArrays:
     beta_s: np.ndarray
     beta_z: np.ndarray
     cap: np.ndarray
+
+    def batch(self) -> "LoadArrays":
+        """These loads as a batch: one draw unless ``demand`` already has rows."""
+        return self if self.demand.ndim == 2 else replace(self, demand=self.demand[None])
 
 
 class CompiledFeeder:
@@ -570,6 +577,8 @@ class CompiledFeeder:
     recovery order, and (on first use) the sparse pattern of the linear
     system. Loads are not compiled: every solve passes them as
     ``LoadArrays``, so a sweep that only changes loads reuses one compile.
+    The per-class and per-line helpers take arrays with any leading batch
+    axes and treat every row alike.
     """
 
     def __init__(self, net: Network) -> None:
@@ -694,22 +703,22 @@ class CompiledFeeder:
         """
         s_const, s_zmag, s_fixed = _sum_loads(loads, loads.channel, len(self.channels))
         s = s_const + s_zmag * e + s_fixed
-        np.add.at(s, self.vvc_ch, 1j * vvc_q)
+        np.add.at(s, (..., self.vvc_ch), 1j * vvc_q)
         for ch, w in dispatch.items():
-            s[self.channel_pos[ch]] += w
+            s[..., self.channel_pos[ch]] += w
         return s
 
     def line_currents(self, v: np.ndarray) -> np.ndarray:
         """From -> to current of every real line phase at class voltages ``v``."""
-        dv = v[self.line_fcol] - v[self.line_tcol]
-        return (self.line_y @ dv[:, :, None])[:, :, 0][self.line_live]
+        dv = v[..., self.line_fcol] - v[..., self.line_tcol]
+        return (self.line_y @ dv[..., None])[..., 0][..., self.line_live]
 
     def line_injection(self, v: np.ndarray) -> np.ndarray:
         """Current the real lines inject into each class: arriving minus leaving."""
         i = self.line_currents(v)
-        f = np.zeros(self.n_cls, dtype=complex)
-        np.add.at(f, self.lp_to_cls, i)
-        np.subtract.at(f, self.lp_from_cls, i)
+        f = np.zeros(v.shape, dtype=complex)
+        np.add.at(f, (..., self.lp_to_cls), i)
+        np.subtract.at(f, (..., self.lp_from_cls), i)
         return f
 
     def ideal_flows(self, defect: np.ndarray, real_flow: np.ndarray) -> np.ndarray:
@@ -722,13 +731,13 @@ class CompiledFeeder:
         """
         n_real = self.n_flow
         acc = defect.astype(complex)
-        np.add.at(acc, self.line_from_ch[:n_real], real_flow)
-        np.subtract.at(acc, self.line_to_ch[:n_real], real_flow)
-        out = np.zeros(self.n_ideal_flow, dtype=complex)
+        np.add.at(acc, (..., self.line_from_ch[:n_real]), real_flow)
+        np.subtract.at(acc, (..., self.line_to_ch[:n_real]), real_flow)
+        out = np.zeros(acc.shape[:-1] + (self.n_ideal_flow,), dtype=complex)
         for child, parent, sign, slot in self.ideal_steps:
-            f = acc[child]
-            out[slot] = sign * f
-            acc[parent] += f
+            f = acc[..., child]
+            out[..., slot] = sign * f
+            acc[..., parent] += f
         return out
 
     def per_line(self, flat: np.ndarray) -> dict[str, np.ndarray]:
@@ -741,12 +750,13 @@ class CompiledFeeder:
 
 
 def _sum_loads(loads: LoadArrays, bins: np.ndarray, n: int):
-    s_const = np.zeros(n, dtype=complex)
-    s_zmag = np.zeros(n, dtype=complex)
-    s_fixed = np.zeros(n, dtype=complex)
-    np.add.at(s_const, bins, loads.beta_s * loads.demand)
-    np.add.at(s_zmag, bins, loads.beta_z * loads.demand)
-    np.add.at(s_fixed, bins, -1j * loads.cap)
+    shape = loads.demand.shape[:-1] + (n,)
+    s_const = np.zeros(shape, dtype=complex)
+    s_zmag = np.zeros(shape, dtype=complex)
+    s_fixed = np.zeros(shape, dtype=complex)
+    np.add.at(s_const, (..., bins), loads.beta_s * loads.demand)
+    np.add.at(s_zmag, (..., bins), loads.beta_z * loads.demand)
+    np.add.at(s_fixed, (..., bins), -1j * loads.cap)
     return s_const, s_zmag, s_fixed
 
 
@@ -757,6 +767,11 @@ class LinearPattern:
     balance rows or, for slack-tied classes, two pin rows. The load-dependent
     entries (the E terms of the balance rows) and the balance right-hand
     sides are value slots that ``matrix`` and ``rhs`` fill for given loads.
+
+    Loads change the matrix only in those E slots, so every system is a
+    low-rank update of the load-free matrix ``a0``. It is factored once, on
+    first use, and ``response`` caches its solves against the balance rows
+    that the loads and dispatch touch.
     """
 
     def __init__(self, cf: CompiledFeeder) -> None:
@@ -833,6 +848,10 @@ class LinearPattern:
         self.bal_cls = np.array(list(self.row_p), dtype=int)
         self.bal_row_p = np.array(list(self.row_p.values()), dtype=int)
         self.bal_row_q = self.bal_row_p + 1
+        self.bal_pos = np.full(n_cls, -1)
+        self.bal_pos[self.bal_cls] = np.arange(len(self.bal_cls))
+        #: Balance class -> its (P, Q) row solves against ``a0``, shape (2, n_state).
+        self.columns: dict[int, np.ndarray] = {}
 
         def slot(row: int, col: int) -> int:
             lo, hi = self.indptr[col], self.indptr[col + 1]
@@ -860,6 +879,42 @@ class LinearPattern:
         b[self.bal_row_p] = s_base[k].real
         b[self.bal_row_q] = s_base[k].imag + self.k0[k]
         return b
+
+    @cached_property
+    def a0(self) -> sp.csc_matrix:
+        """The matrix without constant-impedance load; the volt-var slope stays."""
+        return self.matrix(np.zeros(len(self.k1), dtype=complex))
+
+    @cached_property
+    def lu(self) -> spla.SuperLU:
+        """The feeder's one sparse factorisation, of ``a0``."""
+        return spla.splu(self.a0)
+
+    @cached_property
+    def x_pin(self) -> np.ndarray:
+        """``a0^-1`` applied to the pin rows' right-hand side."""
+        return self.lu.solve(self.b_pin)
+
+    def response(self, cls: np.ndarray) -> np.ndarray:
+        """``a0^-1 [e_row_p, e_row_q]`` for the balance classes ``cls``.
+
+        Returns (n_state, 2 len(cls)): the P-row columns of ``cls`` in order,
+        then their Q-row columns. Missing pairs are solved in one call and
+        cached; SuperLU solves each right-hand side on its own, so a column
+        does not depend on which others were solved with it.
+        """
+        missing = [k for k in cls.tolist() if k not in self.columns]
+        if missing:
+            n = len(missing)
+            rows = self.bal_row_p[self.bal_pos[missing]]
+            e = np.zeros((self.n_state, 2 * n))
+            e[rows, np.arange(n)] = 1.0
+            e[rows + 1, np.arange(n, 2 * n)] = 1.0
+            g = self.lu.solve(e)
+            for i, k in enumerate(missing):
+                self.columns[k] = np.stack([g[:, i], g[:, n + i]])
+        g = np.array([self.columns[k] for k in cls.tolist()]).reshape(-1, 2, self.n_state)
+        return g.transpose(2, 1, 0).reshape(self.n_state, -1)
 
 
 def wrap_angle(theta: float | np.ndarray):

@@ -229,12 +229,12 @@ def _project(z: np.ndarray, k: int, caps: np.ndarray,
              e_min: float, e_max: float) -> np.ndarray:
     out = z.copy()
     if k:
-        u, v = out[:k], out[k:2 * k]
-        nrm = np.hypot(u, v)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            scale = np.where(nrm > caps, caps / np.where(nrm == 0, 1, nrm), 1.0)
-        out[:k] = u * scale
-        out[k:2 * k] = v * scale
+        # Only channels outside their disk move; a zero norm never exceeds a cap.
+        nrm = np.hypot(out[:k], out[k:2 * k])
+        over = np.flatnonzero(nrm > caps)
+        scale = caps[over] / nrm[over]
+        out[over] *= scale
+        out[k + over] *= scale
     out[2 * k:] = np.clip(out[2 * k:], e_min, e_max)
     return out
 
@@ -274,7 +274,7 @@ def solve_opf(prob: OpfProblem, penalty: float = 1.0, tol: float = 1e-9,
         return _finish(prob, c, np.zeros(len(m0)), stats, q, g, const)
 
     mtm = m_map.T @ m_map
-    chol = sla.cho_factor(q + penalty * mtm)
+    chol = sla.cho_factor(q + penalty * mtm, check_finite=False)
     c = np.zeros(2 * k)
     y = _project(m0, k, prob.caps, prob.e_min, prob.e_max)
     lam = np.zeros(len(m0))
@@ -282,7 +282,7 @@ def solve_opf(prob: OpfProblem, penalty: float = 1.0, tol: float = 1e-9,
 
     r_primal = r_dual = np.inf
     for it in range(1, max_iter + 1):
-        c = sla.cho_solve(chol, penalty * m_map.T @ (y - lam - m0) - g)
+        c = sla.cho_solve(chol, penalty * m_map.T @ (y - lam - m0) - g, check_finite=False)
         mc = m_map @ c + m0
         relaxed = over_relax * mc + (1.0 - over_relax) * y
         y_prev = y
@@ -305,7 +305,7 @@ def solve_opf(prob: OpfProblem, penalty: float = 1.0, tol: float = 1e-9,
             if new > 5.0 * penalty or new < penalty / 5.0:
                 lam *= penalty / new
                 penalty = new
-                chol = sla.cho_factor(q + penalty * mtm)
+                chol = sla.cho_factor(q + penalty * mtm, check_finite=False)
                 updates += 1
     else:
         best = {ch: complex(c[i], c[k + i])

@@ -175,7 +175,26 @@ class TestMalformedDocuments:
         mutate(doc)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
-        rc, _, err = run(capsys, "solve", str(bad))
+        self.assert_clean_exit_1(*run(capsys, "solve", str(bad)))
+
+    @pytest.mark.parametrize("value", [5, [0.1]], ids=["number", "one_element_list"])
+    def test_malformed_dispatch_exit_1_without_traceback(self, capsys, tmp_path, feeder13,
+                                                         value):
+        bad = tmp_path / "dispatch.json"
+        bad.write_text(json.dumps({"671.a": value}))
+        self.assert_clean_exit_1(*run(capsys, "solve", feeder13, "--dispatch", str(bad)))
+
+    def test_scenario_feeders_not_objects_exit_1_without_traceback(self, capsys, tmp_path,
+                                                                   data_dir):
+        doc = json.loads((data_dir / "ieee13_dual.json").read_text())
+        doc.update(base_feeder=str(data_dir / doc["base_feeder"]),
+                   shared_mods=str(data_dir / doc["shared_mods"]), feeders=[1, 2])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        self.assert_clean_exit_1(*run(capsys, "scenario", str(bad)))
+
+    @staticmethod
+    def assert_clean_exit_1(rc, out, err):
         assert rc == 1
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1

@@ -3,11 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import phasorflow.exact as exact
 from phasorflow.exact import (
     NonConvergenceError,
     jacobian,
     kcl_residual,
     mismatch,
+    newton_batch,
     solve_exact,
     switch_flow_estimate,
 )
@@ -207,6 +209,21 @@ class TestConvergence:
         with pytest.raises(NonConvergenceError):
             solve_exact(ieee13, max_iter=1)
 
+    def test_failure_messages_and_history(self, ieee13):
+        # a single solve still reports why Newton stopped, with the residual
+        # of every iterate from the flat start
+        with pytest.raises(NonConvergenceError) as capped:
+            solve_exact(ieee13, max_iter=1)
+        hist = capped.value.residual_history
+        assert len(hist) == 2 and hist[1] < hist[0]
+        assert str(capped.value) == f"no convergence after 1 iterations (residual {hist[-1]:.3e})"
+        net = two_bus([LoadSpec("m", "a", 100.0, beta_s=1.0, beta_z=0.0)])
+        with pytest.raises(NonConvergenceError) as stalled:
+            solve_exact(net)
+        hist = stalled.value.residual_history
+        assert len(hist) >= 2 and all(b < a for a, b in zip(hist, hist[1:]))
+        assert str(stalled.value) == f"line search stalled at residual {hist[-1]:.3e}"
+
 
 class TestDispatch:
     def test_positive_dispatch_lowers_local_voltage(self, ieee13):
@@ -335,3 +352,62 @@ class TestJacobianOracle:
         numeric = self.finite_difference(cf, inj, m, t)
         assert analytic.shape == numeric.shape == (2 * len(cf.free),) * 2
         assert np.max(np.abs(analytic - numeric)) <= 1e-6 * np.max(np.abs(analytic))
+
+
+class TestNewtonBatch:
+    """Newton on a batch of draws against one-draw solves of the same draws."""
+
+    # ieee13 load multipliers: 3 and 4 Newton steps, and one hopeless draw
+    SCALES = (0.5, 3.0, 20.0, 1.0, 2.5)
+
+    @staticmethod
+    def batch(net, scales):
+        cf = net.compiled
+        base = cf.load_arrays(net.loads)
+        demand = np.array([base.demand * k for k in scales])
+        nets = [replace(net, loads=tuple(replace(ld, demand=complex(d))
+                                         for ld, d in zip(net.loads, row)))
+                for row in demand]
+        return cf, replace(base, demand=demand), nets
+
+    @pytest.mark.parametrize("budget", [None, 1], ids=["one_stack", "one_draw_per_stack"])
+    def test_draws_equal_single_solves(self, ieee13, monkeypatch, budget):
+        if budget is not None:
+            monkeypatch.setattr(exact, "JACOBIAN_STACK_BYTES", budget)
+        cf, loads, nets = self.batch(ieee13, self.SCALES)
+        out = newton_batch(cf, cf.class_loads(loads))
+        assert {3, 4} <= set(out.steps[[e is None for e in out.error]].tolist())
+        for row, net in enumerate(nets):
+            if out.error[row] is not None:
+                with pytest.raises(NonConvergenceError) as err:
+                    solve_exact(net)
+                assert str(err.value) == out.error[row]
+                assert err.value.residual_history == out.history[row]
+                assert np.all(np.isnan(out.v[row]))
+                continue
+            sol = solve_exact(net)
+            assert sol.iterations == out.steps[row]
+            assert sol.residual_norm == out.residual[row]
+            assert all(sol.V[ch] == out.v[row, k] for ch, k in zip(cf.channels, cf.channel_class))
+        assert sum(e is not None for e in out.error) == 1
+
+    def test_singular_draw_fails_alone(self, ieee13, monkeypatch):
+        # zero one draw's Jacobian: that draw fails, the others do not move
+        cf, loads, _ = self.batch(ieee13, self.SCALES)
+        inj = cf.class_loads(loads)
+        clean = newton_batch(cf, inj)
+        real, target = exact.jacobian, inj[0][3]
+
+        def zeroed(cf, inj, m, t):
+            jac = real(cf, inj, m, t)
+            jac[np.all(inj[0] == target, axis=-1)] = 0.0
+            return jac
+
+        monkeypatch.setattr(exact, "jacobian", zeroed)
+        out = newton_batch(cf, inj)
+        assert out.error[3] == "singular Jacobian: Singular matrix"
+        assert out.history[3] == clean.history[3][:1]
+        for row in (0, 1, 2, 4):
+            assert out.error[row] == clean.error[row]
+            assert out.history[row] == clean.history[row]
+            assert np.array_equal(out.v[row], clean.v[row], equal_nan=True)

@@ -1,17 +1,22 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from phasorflow.exact import solve_exact
 from phasorflow.experiments import (
+    MC_BETA_S,
+    MC_BETA_Z,
     ErrorRecord,
+    _mc_records,
     error_metrics,
     monte_carlo,
     report_to_dict,
 )
 from phasorflow.linear import solve_linear
+from phasorflow.model import LoadArrays
 
 from test_acceptance import regenerate_draw
 
@@ -87,6 +92,28 @@ class TestMonteCarlo:
                         for ln in trial.lines if trial.slack_id in (ln.from_node, ln.to_node))
             assert ErrorRecord(rec.dr, rec.di, rec.scenario_index,
                                *error_metrics(exact, approx), s_sub) == rec
+
+    def test_failed_draw_leaves_the_others_alone(self, ieee13):
+        # a hopeless draw in a batch yields a NaN, converged=False record and
+        # changes no other record of the batch
+        stripped = replace(ieee13, loads=(), der_units=(), vvc_units=())
+        cf = stripped.compiled
+        channels = np.array([cf.channel_pos[(ld.node, ld.phase)] for ld in ieee13.loads
+                             if ld.demand != 0])
+        n = len(channels)
+        rng = np.random.default_rng(3)
+        demand = rng.uniform(0.0, 0.1, (4, n)) + 1j * rng.uniform(0.0, 0.1, (4, n))
+        demand[2] *= 200.0
+        loads = LoadArrays(channels, demand, np.full(n, MC_BETA_S), np.full(n, MC_BETA_Z),
+                           np.zeros(n))
+        recs = _mc_records(stripped, loads, 0.1, 0.1)
+        alone = _mc_records(stripped, replace(loads, demand=demand[[0, 1, 3]]), 0.1, 0.1)
+        assert not recs[2].converged
+        assert all(math.isnan(x) for x in (recs[2].eps_mag, recs[2].eps_angle,
+                                           recs[2].eps_power, recs[2].substation_power))
+        assert [recs[i] for i in (0, 1, 3)] == [replace(r, scenario_index=i)
+                                                for r, i in zip(alone, (0, 1, 3))]
+        assert all(r.converged for r in alone)
 
     def test_rectangular_grid_pairs(self, ieee13):
         recs = monte_carlo(ieee13, ([0.0, 0.1], [0.05]), scenarios_per_cell=1, seed=0)

@@ -3,9 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+import phasorflow.model as model
 from phasorflow.exact import solve_exact
-from phasorflow.linear import angle_residual, build_mn, solve_linear
+from phasorflow.linear import (LinearSystem, angle_residual, build_mn, linear_response,
+                               solve_linear)
 from phasorflow.model import LineSpec, LoadSpec, Network, NodeSpec
 
 NOMINAL_ANGLE = {"a": 0.0, "b": -2.0 * math.pi / 3.0, "c": 2.0 * math.pi / 3.0}
@@ -199,3 +202,54 @@ def test_moderate_load_proximity(ieee13):
     ex = solve_exact(ieee13)
     for ch in ieee13.channels:
         assert lin.v_mag(*ch) == pytest.approx(abs(ex.V[ch]), abs=0.01)
+
+
+class TestFactoredResponse:
+    """The Woodbury solve on the factored load-free matrix against a direct
+    sparse solve of the assembled system."""
+
+    @pytest.mark.parametrize("case", ["ieee13", "ieee37", "dual13_dispatch"])
+    def test_matches_direct_solve(self, case, ieee13, ieee37, dual13):
+        net = {"ieee13": ieee13, "ieee37": ieee37, "dual13_dispatch": dual13}[case]
+        dispatch = {}
+        if case == "dual13_dispatch":
+            dispatch = {(d.node, d.phase): complex(0.02 - 0.01 * i, 0.01)
+                        for i, d in enumerate(net.der_units[:4])}
+        cf = net.compiled
+        loads = cf.load_arrays(net.loads)
+        if case == "dual13_dispatch":
+            assert np.any(cf.linear.k1 != 0.0) and dispatch
+        system = LinearSystem(cf, loads)
+        want = spla.spsolve(system.A, system.rhs(dispatch))
+        x, res = linear_response(cf, loads.batch(), dispatch)
+        assert np.max(np.abs(x[0] - want)) <= 1e-13
+        assert res[0] <= 1e-13
+
+    def test_batch_rows_equal_single_solves(self, ieee13):
+        cf = ieee13.compiled
+        loads = cf.load_arrays(ieee13.loads)
+        demand = np.array([loads.demand * k for k in (0.0, 0.5, 1.0, 2.0)])
+        x, _ = linear_response(cf, replace(loads, demand=demand))
+        for row, d in enumerate(demand):
+            one, _ = linear_response(cf, replace(loads, demand=d).batch())
+            assert np.array_equal(x[row], one[0])
+
+    def test_one_factorisation_on_first_linear_use(self, ieee13, monkeypatch):
+        calls = []
+        real = model.spla.splu
+        monkeypatch.setattr(model.spla, "splu", lambda a: calls.append(a.shape) or real(a))
+        net = replace(ieee13)
+        solve_exact(net)
+        assert calls == []
+        solve_linear(net)
+        solve_linear(net, dispatch={("671", "a"): 0.01 + 0.01j})
+        assert len(calls) == 1
+
+    def test_residual_audit_catches_a_perturbed_response(self, ieee13):
+        net = replace(ieee13)  # its own compile, so the cache below is private
+        solve_linear(net)
+        cached = net.compiled.linear.columns
+        assert cached
+        cached[next(iter(cached))][0] *= 1.0 + 1e-6
+        with pytest.raises(RuntimeError, match="linear solve residual"):
+            solve_linear(net)
