@@ -1,37 +1,50 @@
-"""Exact unbalanced power flow via Newton's method in polar coordinates.
+"""Exact unbalanced power flow: Newton on the implicit Z-bus form.
 
 Each electrical class (channels merged across ideal couplings) carries one
-complex voltage unknown, split into magnitude and angle. The residual is the
-complex nodal current balance; its real and imaginary parts form the Newton
-system together with the analytic partial derivatives of both the line
-currents and the voltage-dependent load currents. Meshed topologies need no
-special handling.
+complex voltage. Kirchhoff's current law at the free classes reads
+``Y_ff (v_f - v_flat) + i(v_f) = 0``, where ``i`` is the current the loads
+draw: the model has no shunt admittance, so every line current vanishes at
+the flat start. Only the classes with a load, capacitor, volt-var unit or
+dispatch draw current; call them L. With ``Z = Y_ff^-1`` the other free
+voltages follow exactly as ``v_f = v_flat - Z[:, L] i_L``, and Newton solves
+
+    F(x) = x - v_flat_L + Z_LL i_L(x) = 0
+
+for the loaded-class voltages ``x`` alone (the implicit Z-bus method of
+Bazrafshan & Gatsis 2018, driven by Newton: current-injection Newton in
+rectangular coordinates with the unloaded classes eliminated). Its real
+Jacobian is the identity plus ``Z_LL`` times the derivatives of ``i_L`` in
+v and conj(v). Meshed topologies need no special handling.
+
+Every iterate is audited on the full free-class current balance, computed
+line by line, and that audit is the stopping test: ``residual_norm`` is the
+largest current mismatch of any free class.
 
 Volt-var droops are clamps, piecewise linear in |V|, so they sit in the
 residual as a semismooth term: Newton uses the slope of each unit's active
 segment (Qi & Sun 1993), and one run settles voltages and volt-var together.
 
-The network enters through its ``CompiledFeeder``: the Jacobian scales the
-dense nodal admittance, and loads arrive as per-class vectors, so a sweep
-over loads reuses one compile. Newton runs on a batch of load draws at
-once, each draw with its own step, line search and stopping point; a
-single solve is a batch of one, so a draw solved in a sweep is bit for bit
-the draw solved alone.
+The network enters through its ``CompiledFeeder``, which caches the Z
+columns, and loads arrive as per-class vectors, so a sweep over loads
+reuses one compile. Newton runs on a batch of load draws at once, each
+draw with its own step, line search and stopping point; a single solve is
+a batch of one, so a draw solved in a sweep is bit for bit the draw solved
+alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .model import CompiledFeeder, LoadArrays, Network
+from .model import CompiledFeeder, LoadArrays, Network, ZBus
 
 Channel = tuple[str, str]
 
 #: Bytes of stacked Jacobians built and factored at once. A batch needs a
-#: Jacobian per draw, 32 nf^2 bytes for nf free classes; on a large feeder a
+#: Jacobian per draw, 32 nl^2 bytes for nl loaded classes; on a large feeder a
 #: stack of many draws gains nothing over a few and costs memory, so larger
 #: batches are solved in chunks of this size.
 JACOBIAN_STACK_BYTES = 256 << 10
@@ -41,7 +54,7 @@ class NonConvergenceError(RuntimeError):
     """Newton iteration failed to reach the residual tolerance.
 
     ``residual_history`` is the residual of every iterate of the one Newton
-    run, from the flat start to where it stopped.
+    run, from the flat start of the loaded classes to where it stopped.
     """
 
     def __init__(self, message: str, residual_history: list[float]):
@@ -90,46 +103,60 @@ def _draw(cf: CompiledFeeder, inj, m: np.ndarray,
     return s, ds
 
 
-def mismatch(cf: CompiledFeeder, inj, m: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Current balance of every free class at polar class voltages (m, t).
+def _at(cf: CompiledFeeder, zb: ZBus, x: np.ndarray) -> np.ndarray:
+    """Class voltages with the loaded classes at ``x`` (draws, nl), the rest flat."""
+    v = np.repeat(cf.v_flat[None], len(x), axis=0)
+    v[:, zb.cls] = x
+    return v
 
-    ``inj`` holds the per-class (s_const, s_zmag, s_fixed) loads and dispatch,
-    no volt-var. Lines inject the sum of their currents ``y (v_from - v_to)``,
-    which equals ``-Y v`` but keeps each line's balance exact: the rows of a
-    floating-point ``Y`` do not sum to exactly zero, which would act as a
-    shunt of order eps * |y| and shift the solution. The loads draw
-    ``conj(s(m) / v)``, volt-var included. Takes one point or a batch,
-    with the class axis last.
+
+def evaluate(cf: CompiledFeeder, zb: ZBus, inj,
+             x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The iterate that loaded-class voltages ``x`` (draws, nl) stand for.
+
+    ``inj`` holds the per-class (s_const, s_zmag, s_fixed) loads and
+    dispatch, no volt-var. Returns the class voltages, with every other free
+    class at ``v_flat - Z i_L(x)``; their current mismatch at every free
+    class; and the Z-bus residual ``F(x) = x - v_flat_L + Z_LL i_L(x)``.
+
+    The recovery forms only the deviation from the flat start. The mismatch
+    is the audit Newton stops on: lines inject the sum of their currents
+    ``y (v_from - v_to)``, which equals ``-Y v`` but keeps each line's
+    balance exact (the rows of a floating-point ``Y`` do not sum to exactly
+    zero, which would act as a shunt of order eps * |y| and shift the
+    solution), and the loads draw ``conj(s(|v|) / v)``, volt-var included.
     """
-    v = m * np.exp(1j * t)
-    s = _draw(cf, inj, m, slope=False)[0]
-    return (cf.line_injection(v) - np.conj(s / v))[..., cf.free]
+    v = _at(cf, zb, x)
+    drawn = np.conj(_draw(cf, inj, np.abs(v), slope=False)[0] / v)
+    v[:, cf.free] = cf.v_flat[cf.free] - (zb.z @ drawn[:, zb.cls, None])[..., 0]
+    resid = x - v[:, zb.cls]
+    v[:, zb.cls] = x
+    # Classes outside L draw nothing, so ``drawn`` still holds at this ``v``.
+    return v, (cf.line_injection(v) - drawn)[:, cf.free], resid
 
 
-def jacobian(cf: CompiledFeeder, inj, m: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Real Jacobian of ``mismatch`` over the free magnitudes, then angles.
+def jacobian(cf: CompiledFeeder, zb: ZBus, inj, x: np.ndarray) -> np.ndarray:
+    """Real Jacobian of the Z-bus residual over Re x, then Im x.
 
-    Rows are the real then the imaginary mismatch parts. The line part is
-    ``Y[free, free]`` scaled by dV/dm = v/m and dV/dt = 1j v per column; the
-    loads add a diagonal through ``ds/dm``, which carries the slope of each
-    volt-var unit's active droop segment. Takes one point or a batch.
+    Rows are the real then the imaginary residual parts. With
+    ``i = conj(s(|x|) / x)``, ``di/dv = conj(ds/dm) / 2m`` and
+    ``di/dconj(v) = (di/dv) x / conj(x) - i / conj(x)``; ``ds/dm`` carries the
+    constant-impedance loads and the slope of each volt-var unit's active
+    droop segment.
     """
-    free = cf.free
-    nf = len(free)
-    mf = m[..., free]
-    v = mf * np.exp(1j * t[..., free])
-    s, ds = (a[..., free] for a in _draw(cf, inj, m))
-    drawn = np.conj(s / v)
-    jac = np.empty(m.shape[:-1] + (2 * nf, 2 * nf))
-    di = np.arange(nf)
-    # Each complex block, -Y with scaled columns and the loads on its diagonal,
-    # fills its columns of the real rows, then of the imaginary rows.
-    for col, scale, diag in ((0, v / mf, np.conj(ds) / np.conj(v) - drawn / mf),
-                             (nf, 1j * v, 1j * drawn)):
-        block = cf.y_free_free * -scale[..., None, :]
-        block[..., di, di] -= diag
-        jac[..., :nf, col : col + nf] = block.real
-        jac[..., nf:, col : col + nf] = block.imag
+    s, ds = (a[..., zb.cls] for a in _draw(cf, inj, np.abs(_at(cf, zb, x))))
+    xc = np.conj(x)
+    di_dv = np.conj(ds) / (2.0 * np.abs(x))
+    di_dvc = (di_dv * x - np.conj(s) / xc) / xc
+    nl = len(zb.cls)
+    jac = np.empty(x.shape[:-1] + (2 * nl, 2 * nl))
+    # Columns scale Z_LL by the current's response to Re x, then to Im x.
+    for col, scale in ((0, di_dv + di_dvc), (nl, 1j * (di_dv - di_dvc))):
+        block = zb.z_ll * scale[..., None, :]
+        jac[..., :nl, col : col + nl] = block.real
+        jac[..., nl:, col : col + nl] = block.imag
+    di = np.arange(2 * nl)
+    jac[..., di, di] += 1.0
     return jac
 
 
@@ -139,8 +166,8 @@ class NewtonBatch:
 
     ``v`` holds the class voltages (NaN where the draw failed), ``steps``
     and ``residual`` where each draw stopped, ``history`` every draw's
-    residual trajectory from the flat start, and ``error`` the failure
-    message of each draw, or None where it converged.
+    residual trajectory from the flat start of the loaded classes, and
+    ``error`` the failure message of each draw, or None where it converged.
     """
 
     v: np.ndarray
@@ -150,31 +177,35 @@ class NewtonBatch:
     error: list[str | None]
 
 
-def newton_batch(cf: CompiledFeeder, inj: Sequence[np.ndarray], tol: float = 1e-10,
+def newton_batch(cf: CompiledFeeder, loads: LoadArrays,
+                 dispatch: Mapping[Channel, complex] | None = None, tol: float = 1e-10,
                  max_iter: int = 50) -> NewtonBatch:
-    """Polar Newton on every draw of ``inj``, the per-class (s_const, s_zmag,
-    s_fixed), each (draws, n_cls).
+    """Z-bus Newton on every draw of ``loads`` (a row of ``loads.demand``), each
+    with the same ``dispatch``.
 
     Draws share the array work but nothing else: each keeps its own
     backtracking step and stops on its own. A singular Jacobian, a stalled
     line search or the iteration cap fails that draw only.
     """
-    inj = np.array(inj)  # (3, draws, n_cls)
+    dispatch = {k: complex(w) for k, w in (dispatch or {}).items()}
+    loads = loads.batch()
+    inj = np.array(_injections(cf, loads, dispatch))  # (3, draws, n_cls)
+    zb = cf.zbus(np.concatenate([loads.channel, np.array(
+        [cf.channel_pos[ch] for ch in dispatch], dtype=int)]))
     n_draws = inj.shape[1]
-    free = cf.free
-    nf = len(free)
-    chunk = max(1, JACOBIAN_STACK_BYTES // (8 * (2 * nf) ** 2)) if nf else 1
-    v = np.full((n_draws, cf.n_cls), np.nan, dtype=complex)
+    nl = len(zb.cls)
+    chunk = max(1, JACOBIAN_STACK_BYTES // (8 * (2 * nl) ** 2)) if nl else 1
+    v_out = np.full((n_draws, cf.n_cls), np.nan, dtype=complex)
     steps = np.zeros(n_draws, dtype=int)
     residual = np.full(n_draws, np.nan)
     history: list[list[float]] = [[] for _ in range(n_draws)]
     error: list[str | None] = [None] * n_draws
 
-    # The draws still iterating: their ids, injections, iterates and mismatches.
+    # The draws still iterating: their ids, injections, iterates, mismatches
+    # and Z-bus residuals. The first iterate is the one the flat loaded-class
+    # voltages stand for.
     act = np.arange(n_draws)
-    m = np.repeat(np.abs(cf.v_flat)[None], n_draws, axis=0)
-    t = np.repeat(np.angle(cf.v_flat)[None], n_draws, axis=0)
-    f = mismatch(cf, inj, m, t)
+    v, f, resid = evaluate(cf, zb, inj, np.repeat(cf.v_flat[None, zb.cls], n_draws, axis=0))
     for step in range(max_iter + 1):
         res = np.max(np.abs(f), axis=-1, initial=0.0)
         for d, r in zip(act.tolist(), res.tolist()):
@@ -182,10 +213,10 @@ def newton_batch(cf: CompiledFeeder, inj: Sequence[np.ndarray], tol: float = 1e-
         done = res <= tol
         if done.any():
             fin = act[done]
-            v[fin] = m[done] * np.exp(1j * t[done])
+            v_out[fin] = v[done]
             steps[fin] = step
             residual[fin] = res[done]
-            act, m, t, f, res = act[~done], m[~done], t[~done], f[~done], res[~done]
+            act, v, f, resid, res = act[~done], v[~done], f[~done], resid[~done], res[~done]
             inj = inj[:, ~done]
         if not len(act):
             break
@@ -195,12 +226,13 @@ def newton_batch(cf: CompiledFeeder, inj: Sequence[np.ndarray], tol: float = 1e-
                             f"(residual {history[d][-1]:.3e})")
             break
 
-        rhs = -np.concatenate([f.real, f.imag], axis=-1)[..., None]
+        x = v[:, zb.cls]
+        rhs = -np.concatenate([resid.real, resid.imag], axis=-1)[..., None]
         delta = np.empty(rhs.shape[:-1])
         ok = np.ones(len(act), dtype=bool)
         for lo in range(0, len(act), chunk):
             sl = slice(lo, lo + chunk)
-            jac = jacobian(cf, inj[:, sl], m[sl], t[sl])
+            jac = jacobian(cf, zb, inj[:, sl], x[sl])
             try:
                 delta[sl] = np.linalg.solve(jac, rhs[sl])[..., 0]
             except np.linalg.LinAlgError:
@@ -211,44 +243,42 @@ def newton_batch(cf: CompiledFeeder, inj: Sequence[np.ndarray], tol: float = 1e-
                     except np.linalg.LinAlgError as exc:
                         ok[i] = False
                         error[act[i]] = f"singular Jacobian: {exc}"
+        dx = delta[:, :nl] + 1j * delta[:, nl:]
 
         # Backtracking keeps heavy-load starts from overshooting: the draws
         # whose residual has not dropped yet retry at half the step.
         rows = np.flatnonzero(ok)
         if len(rows) < len(act):
-            m_0, t_0, dx, inj_0, res_0 = m[rows], t[rows], delta[rows], inj[:, rows], res[rows]
+            x_0, dx, inj_0, res_0 = x[rows], dx[rows], inj[:, rows], res[rows]
         else:
-            m_0, t_0, dx, inj_0, res_0 = m, t, delta, inj, res
+            x_0, inj_0, res_0 = x, inj, res
         alpha = 1.0
         for _ in range(40):
-            m_try, t_try = m_0.copy(), t_0.copy()
-            m_try[:, free] += alpha * dx[:, :nf]
-            t_try[:, free] += alpha * dx[:, nf:]
             # A trial magnitude at or below 1e-6 fails whatever its residual.
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                r_try = mismatch(cf, inj_0, m_try, t_try)
-            better = (np.all(m_try[:, free] > 1e-6, axis=-1)
-                      & (np.max(np.abs(r_try), axis=-1, initial=0.0) < res_0))
+                v_try, f_try, r_try = evaluate(cf, zb, inj_0, x_0 + alpha * dx)
+            better = (np.all(np.abs(v_try[:, cf.free]) > 1e-6, axis=-1)
+                      & (np.max(np.abs(f_try), axis=-1, initial=0.0) < res_0))
             if len(rows) == len(act) and better.all():
-                m, t, f = m_try, t_try, r_try
+                v, f, resid = v_try, f_try, r_try
                 rows = rows[:0]
                 break
             won = rows[better]
-            m[won], t[won], f[won] = m_try[better], t_try[better], r_try[better]
+            v[won], f[won], resid[won] = v_try[better], f_try[better], r_try[better]
             lost = ~better
             if not lost.any():
                 rows = rows[:0]
                 break
-            rows, m_0, t_0, dx, res_0 = rows[lost], m_0[lost], t_0[lost], dx[lost], res_0[lost]
+            rows, x_0, dx, res_0 = rows[lost], x_0[lost], dx[lost], res_0[lost]
             inj_0 = inj_0[:, lost]
             alpha *= 0.5
         for i in rows.tolist():
             ok[i] = False
             error[act[i]] = f"line search stalled at residual {res[i]:.3e}"
         if not ok.all():
-            act, m, t, f, inj = act[ok], m[ok], t[ok], f[ok], inj[:, ok]
+            act, v, f, resid, inj = act[ok], v[ok], f[ok], resid[ok], inj[:, ok]
 
-    return NewtonBatch(v=v, steps=steps, residual=residual, history=history, error=error)
+    return NewtonBatch(v=v_out, steps=steps, residual=residual, history=history, error=error)
 
 
 def _injections(cf: CompiledFeeder, loads: LoadArrays,
@@ -289,7 +319,7 @@ def solve_exact_compiled(
     on a batch of one draw."""
     dispatch = {k: complex(v) for k, v in (dispatch or {}).items()}
     loads = loads.batch()
-    out = newton_batch(cf, _injections(cf, loads, dispatch), tol, max_iter)
+    out = newton_batch(cf, loads, dispatch, tol, max_iter)
     if out.error[0] is not None:
         raise NonConvergenceError(out.error[0], out.history[0])
     st = exact_state(cf, loads, out.v, dispatch)
@@ -336,7 +366,8 @@ def exact_state(cf: CompiledFeeder, loads: LoadArrays, v_cls: np.ndarray,
 
 
 def kcl_residual(net: Network, sol: PhasorSolution) -> float:
-    """Largest per-channel current imbalance implied by a solution.
+    """Largest per-channel current imbalance implied by a solution, over every
+    channel but the slack node's, which supply whatever the rest draws.
 
     Recomputes the drawn current from the network data and the solution
     phasors (not from the stored per-channel powers), so it independently
@@ -356,7 +387,7 @@ def kcl_residual(net: Network, sol: PhasorSolution) -> float:
             bal[(ln.from_node, p)] -= i[pi]
     worst = 0.0
     for ch, b in bal.items():
-        if ch[0] == net.slack_id or net.index.class_of[ch] in net.index.slack_value:
+        if ch[0] == net.slack_id:
             continue
         worst = max(worst, abs(b))
     return worst

@@ -116,7 +116,7 @@ def _mc_records(net: Network, loads: LoadArrays, dr: float, di: float) -> list[E
     ``error_metrics`` and the public solvers on one draw.
     """
     cf = net.compiled
-    newton = newton_batch(cf, cf.class_loads(loads))
+    newton = newton_batch(cf, loads)
     ok = np.array([e is None for e in newton.error], dtype=bool)
     eps = np.full((4, len(ok)), np.nan)
     if ok.any():

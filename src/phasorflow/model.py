@@ -105,6 +105,8 @@ class LineSpec:
             object.__setattr__(self, "name", f"{self.from_node}-{self.to_node}")
         if self.from_node == self.to_node:
             raise NetworkError(f"line {self.name}: endpoints coincide")
+        if not self.is_ideal and abs(np.linalg.det(self.z)) < 1e-30:
+            raise NetworkError(f"line {self.name}: impedance matrix is singular")
 
     @property
     def z(self) -> np.ndarray:
@@ -258,10 +260,6 @@ class Network:
                     raise NetworkError(
                         f"line {ln.name}: phase {sorted(missing)} absent at node {end}"
                     )
-            if not ln.is_ideal:
-                z = ln.z
-                if abs(np.linalg.det(z)) < 1e-30:
-                    raise NetworkError(f"line {ln.name}: impedance matrix is singular")
 
         for load in self.loads:
             self._check_channel(load.node, load.phase, by_id, "load")
@@ -568,14 +566,25 @@ class LoadArrays:
         return self if self.demand.ndim == 2 else replace(self, demand=self.demand[None])
 
 
+@dataclass(frozen=True)
+class ZBus:
+    """Columns of ``Z = Y_ff^-1`` at the free classes ``cls`` that draw power:
+    ``z`` is ``Z[free, cls]`` and ``z_ll`` its rows at ``cls``."""
+
+    cls: np.ndarray
+    z: np.ndarray
+    z_ll: np.ndarray
+
+
 class CompiledFeeder:
     """Solver arrays of one network, built once and shared by every solve.
 
-    Holds the class index arrays and flat start, the free-class block of the
-    dense nodal admittance ``Y`` (for the Newton Jacobian), the stacked line
-    admittances and end classes that give line currents, the ideal-coupling
-    recovery order, and (on first use) the sparse pattern of the linear
-    system. Loads are not compiled: every solve passes them as
+    Holds the class index arrays and flat start, the free-class block
+    ``Y_ff`` of the sparse nodal admittance and (on first use) its
+    factorisation and the Z-bus columns that Newton iterates on, the
+    stacked line admittances and end classes that give line currents, the
+    ideal-coupling recovery order, and (on first use) the sparse pattern of
+    the linear system. Loads are not compiled: every solve passes them as
     ``LoadArrays``, so a sweep that only changes loads reuses one compile.
     The per-class and per-line helpers take arrays with any leading batch
     axes and treat every row alike.
@@ -590,6 +599,8 @@ class CompiledFeeder:
         self.channel_pos = {ch: i for i, ch in enumerate(self.channels)}
         self.channel_class = np.array([idx.class_of[ch] for ch in self.channels], dtype=int)
         self.free = np.array(idx.free_classes, dtype=int)
+        self.free_pos = np.full(n, -1)
+        self.free_pos[self.free] = np.arange(len(self.free))
         self.v_flat = np.array([net.slack_phasor(mem[0][1]) for mem in idx.classes], dtype=complex)
         for k, v in idx.slack_value.items():
             self.v_flat[k] = v
@@ -608,18 +619,25 @@ class CompiledFeeder:
             live[l, :k] = True
         self.line_y, self.line_fcol, self.line_tcol, self.line_live = y, fcol, tcol, live
 
-        # Y = sum over lines of [[y, -y], [-y, y]] on (from, to) classes.
-        ends = np.concatenate([fcol, tcol], axis=1)
+        # Y_ff = G + jB: the free rows and columns of the sum over lines of
+        # [[y, -y], [-y, y]] on (from, to) classes, padding left out, held as
+        # the real [[G, -B], [B, G]] so that it shares the real sparse LU
+        # code with the linear model.
+        ends = np.where(np.concatenate([live, live], axis=1),
+                        self.free_pos[np.concatenate([fcol, tcol], axis=1)], -1)
         block = np.concatenate(
             [np.concatenate([y, -y], axis=2), np.concatenate([-y, y], axis=2)], axis=1
         )
-        ybus = np.zeros((n, n), dtype=complex)
-        np.add.at(
-            ybus,
-            (np.repeat(ends, 6, axis=1).ravel(), np.tile(ends, (1, 6)).ravel()),
-            block.ravel(),
+        row, col = np.repeat(ends, 6, axis=1).ravel(), np.tile(ends, (1, 6)).ravel()
+        keep = (row >= 0) & (col >= 0)
+        row, col, val = row[keep], col[keep], block.ravel()[keep]
+        nf = len(self.free)
+        self.y_ff = sp.csc_matrix(
+            (np.concatenate([val.real, -val.imag, val.imag, val.real]),
+             (np.concatenate([row, row, row + nf, row + nf]),
+              np.concatenate([col, col + nf, col, col + nf]))),
+            shape=(2 * nf, 2 * nf),
         )
-        self.y_free_free = ybus[np.ix_(self.free, self.free)]
 
         # Per real line phase (lines in order, phases in order): end classes.
         self.lp_from_cls = fcol[live]
@@ -659,6 +677,37 @@ class CompiledFeeder:
             droop.reshape(-1, 5).T.copy())
         coeffs = np.array([u.linear_coeffs() for u in units], dtype=float).reshape(-1, 2)
         self.vvc_k0, self.vvc_k1 = coeffs[:, 0].copy(), coeffs[:, 1].copy()
+
+        #: Z[free, k] per free class k, solved on first use.
+        self.z_columns: dict[int, np.ndarray] = {}
+
+    @cached_property
+    def y_lu(self) -> spla.SuperLU:
+        """The sparse factorisation of ``Y_ff``, in its real form."""
+        return spla.splu(self.y_ff)
+
+    def zbus(self, channels: np.ndarray) -> ZBus:
+        """Z-bus columns of the free classes that ``channels`` (loads and
+        dispatch) and the volt-var units draw at.
+
+        Columns are cached per class and the missing ones solved in one
+        call; SuperLU solves each right-hand side on its own, so a column
+        does not depend on which others were solved with it.
+        """
+        cls = np.unique(self.channel_class[np.concatenate([channels, self.vvc_ch])])
+        cls = cls[self.free_pos[cls] >= 0]
+        nf = len(self.free)
+        missing = [k for k in cls.tolist() if k not in self.z_columns]
+        if missing:
+            e = np.zeros((2 * nf, len(missing)))
+            e[self.free_pos[missing], np.arange(len(missing))] = 1.0
+            e = self.y_lu.solve(e)
+            for k, re, im in zip(missing, e[:nf].T, e[nf:].T):
+                self.z_columns[k] = re + 1j * im
+        z = np.zeros((nf, 0), dtype=complex)
+        if len(cls):
+            z = np.stack([self.z_columns[k] for k in cls.tolist()], axis=1)
+        return ZBus(cls=cls, z=z, z_ll=z[self.free_pos[cls]])
 
     def vvc_droop(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``VvcSpec.response`` and its slope at one magnitude per volt-var unit.

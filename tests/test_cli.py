@@ -163,6 +163,8 @@ class TestMalformedDocuments:
         "nan_line_impedance": ("ieee13.json",
                                lambda d: d["lines"][1]["z_pu"][0][0].__setitem__(0, float("nan"))),
         "nan_load_demand": ("ieee13.json", lambda d: d["loads"][0].update(re=float("nan"))),
+        "singular_line_impedance": ("ieee13.json",
+                                    lambda d: d["lines"][1].update(z_pu=[[[0.02, 0.06]] * 3] * 3)),
         "negative_length": ("ieee13_raw.json",
                             lambda d: _first_sized_line(d).update(length_ft=-100.0)),
         "zero_length": ("ieee13_raw.json", lambda d: _first_sized_line(d).update(length_ft=0)),

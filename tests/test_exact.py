@@ -6,9 +6,9 @@ import pytest
 import phasorflow.exact as exact
 from phasorflow.exact import (
     NonConvergenceError,
+    evaluate,
     jacobian,
     kcl_residual,
-    mismatch,
     newton_batch,
     solve_exact,
     switch_flow_estimate,
@@ -318,20 +318,17 @@ class TestFlows:
 
 
 class TestJacobianOracle:
-    """The analytic Jacobian against a central difference of the mismatch."""
+    """The analytic Jacobian against a central difference of the Z-bus residual."""
 
     @staticmethod
-    def finite_difference(cf, inj, m, t, h=1e-6):
-        free = cf.free
+    def finite_difference(cf, zb, inj, x, h=1e-6):
         cols = []
-        for var in (m, t):
-            for k in free:
-                up, dn = var.copy(), var.copy()
-                up[k] += h
-                dn[k] -= h
-                args_up = (up, t) if var is m else (m, up)
-                args_dn = (dn, t) if var is m else (m, dn)
-                df = (mismatch(cf, inj, *args_up) - mismatch(cf, inj, *args_dn)) / (2 * h)
+        for step in (h, 1j * h):
+            for k in range(x.shape[-1]):
+                up, dn = x.copy(), x.copy()
+                up[..., k] += step
+                dn[..., k] -= step
+                df = (evaluate(cf, zb, inj, up)[2] - evaluate(cf, zb, inj, dn)[2])[0] / (2 * h)
                 cols.append(np.concatenate([df.real, df.imag]))
         return np.array(cols).T
 
@@ -340,17 +337,21 @@ class TestJacobianOracle:
         net = {"ieee13": ieee13, "ieee37": ieee37,
                "meshed_dual13": dual13.close_switch("tie-1680-2680")}[case]
         cf = net.compiled
-        inj = cf.class_loads(cf.load_arrays(net.loads))
+        loads = cf.load_arrays(net.loads).batch()
+        inj = cf.class_loads(loads)
+        zb = cf.zbus(loads.channel)
         # a generic point near the flat start, not a solution
         rng = np.random.default_rng(7)
-        m = np.abs(cf.v_flat) * (1.0 + rng.uniform(-0.05, 0.05, cf.n_cls))
-        t = np.angle(cf.v_flat) + rng.uniform(-0.05, 0.05, cf.n_cls)
+        flat = cf.v_flat[zb.cls]
+        x = (np.abs(flat) * (1.0 + rng.uniform(-0.05, 0.05, len(flat)))
+             * np.exp(1j * (np.angle(flat) + rng.uniform(-0.05, 0.05, len(flat)))))[None]
         if case == "meshed_dual13":
             # the volt-var slope enters only for units inside their band
-            assert np.any(cf.vvc_droop(m[cf.vvc_cls])[1] != 0.0)
-        analytic = jacobian(cf, inj, m, t)
-        numeric = self.finite_difference(cf, inj, m, t)
-        assert analytic.shape == numeric.shape == (2 * len(cf.free),) * 2
+            m_vvc = np.abs(x[0, np.searchsorted(zb.cls, cf.vvc_cls)])
+            assert np.any(cf.vvc_droop(m_vvc)[1] != 0.0)
+        analytic = jacobian(cf, zb, inj, x)[0]
+        numeric = self.finite_difference(cf, zb, inj, x)
+        assert analytic.shape == numeric.shape == (2 * len(zb.cls),) * 2
         assert np.max(np.abs(analytic - numeric)) <= 1e-6 * np.max(np.abs(analytic))
 
 
@@ -375,7 +376,7 @@ class TestNewtonBatch:
         if budget is not None:
             monkeypatch.setattr(exact, "JACOBIAN_STACK_BYTES", budget)
         cf, loads, nets = self.batch(ieee13, self.SCALES)
-        out = newton_batch(cf, cf.class_loads(loads))
+        out = newton_batch(cf, loads)
         assert {3, 4} <= set(out.steps[[e is None for e in out.error]].tolist())
         for row, net in enumerate(nets):
             if out.error[row] is not None:
@@ -394,17 +395,16 @@ class TestNewtonBatch:
     def test_singular_draw_fails_alone(self, ieee13, monkeypatch):
         # zero one draw's Jacobian: that draw fails, the others do not move
         cf, loads, _ = self.batch(ieee13, self.SCALES)
-        inj = cf.class_loads(loads)
-        clean = newton_batch(cf, inj)
-        real, target = exact.jacobian, inj[0][3]
+        clean = newton_batch(cf, loads)
+        real, target = exact.jacobian, cf.class_loads(loads)[0][3]
 
-        def zeroed(cf, inj, m, t):
-            jac = real(cf, inj, m, t)
+        def zeroed(cf, zb, inj, x):
+            jac = real(cf, zb, inj, x)
             jac[np.all(inj[0] == target, axis=-1)] = 0.0
             return jac
 
         monkeypatch.setattr(exact, "jacobian", zeroed)
-        out = newton_batch(cf, inj)
+        out = newton_batch(cf, loads)
         assert out.error[3] == "singular Jacobian: Singular matrix"
         assert out.history[3] == clean.history[3][:1]
         for row in (0, 1, 2, 4):

@@ -240,10 +240,12 @@ class TestFactoredResponse:
         monkeypatch.setattr(model.spla, "splu", lambda a: calls.append(a.shape) or real(a))
         net = replace(ieee13)
         solve_exact(net)
-        assert calls == []
+        # the exact solver factors only Y_ff (real form), for its Z-bus columns
+        n_free = len(net.compiled.free)
+        assert calls == [(2 * n_free, 2 * n_free)]
         solve_linear(net)
         solve_linear(net, dispatch={("671", "a"): 0.01 + 0.01j})
-        assert len(calls) == 1
+        assert calls[1:] == [(net.compiled.linear.n_state,) * 2]
 
     def test_residual_audit_catches_a_perturbed_response(self, ieee13):
         net = replace(ieee13)  # its own compile, so the cache below is private
