@@ -18,7 +18,8 @@ from typing import Mapping
 import numpy as np
 
 from .exact import PhasorSolution, exact_state, newton_batch, solve_exact, switch_flow_estimate
-from .feeders import apply_modifications, merge_with_switch, network_from_dict, relabel_nodes
+from .feeders import (_entries, _num, apply_modifications, merge_with_switch, network_from_dict,
+                      relabel_nodes)
 # solve_linear stays importable from here: perfbench/spans.py wraps it by name.
 from .linear import LinearSolution, linear_response, linear_state, solve_linear
 from .model import DerSpec, LoadArrays, Network, NetworkError, VvcSpec, wrap_angle
@@ -219,20 +220,22 @@ def build_scenario_network(spec: Mapping, base_dir: str | Path | None = None) ->
         net = relabel_nodes(net, feeder["prefix"], keep=(base.slack_id,))
         built.append(net)
 
-    switches = spec["switches"]
+    switches = _nonempty(spec, "switches")
     merged = merge_with_switch(built[0], built[1], switches[0])
     for sw in switches[1:]:
         merged = apply_modifications(merged, [dict(sw, op="add_switch")])
 
     der = []
-    for entry in spec.get("der", []):
+    for entry in _entries(spec, "der"):
+        cap = _num(entry["capacity"], f"der at {entry['node']}")
         for p in merged.node_map[entry["node"]].phases:
-            der.append(DerSpec(entry["node"], p, entry["capacity"]))
+            der.append(DerSpec(entry["node"], p, cap))
     vvc = []
-    for entry in spec.get("vvc", []):
+    for entry in _entries(spec, "vvc"):
+        droop = [_num(entry[k], f"vvc at {entry['node']}")
+                 for k in ("q_min", "q_max", "v_min", "v_max")]
         for p in merged.node_map[entry["node"]].phases:
-            vvc.append(VvcSpec(entry["node"], p, entry["q_min"], entry["q_max"],
-                               entry["v_min"], entry["v_max"]))
+            vvc.append(VvcSpec(entry["node"], p, *droop))
     return replace(merged, der_units=tuple(der), vvc_units=tuple(vvc))
 
 
@@ -270,21 +273,56 @@ class ScenarioReport:
         raise KeyError(name)
 
 
-def _run_action(net: Network, closed: Network, action: Mapping,
+def _nonempty(spec: Mapping, key: str) -> list:
+    """A nonempty list of objects under ``key`` of a scenario document."""
+    items = spec.get(key)
+    if not isinstance(items, list) or not items or not all(isinstance(e, Mapping) for e in items):
+        raise NetworkError(f"scenario {key!r} must be a nonempty list of objects")
+    return items
+
+
+def _actions(spec: Mapping) -> list[tuple[str, str, str]]:
+    """The scenario's switching actions as (switch, target 1, target 2)."""
+    out = []
+    for action in _nonempty(spec, "actions"):
+        switch, targets = action.get("switch"), action.get("targets")
+        if not (isinstance(switch, str) and isinstance(targets, list) and len(targets) == 2
+                and all(isinstance(t, str) for t in targets)):
+            raise NetworkError(f"scenario action {action!r} needs a 'switch' name and "
+                               "two 'targets' node names")
+        out.append((switch, *targets))
+    return out
+
+
+def _cases(spec: Mapping) -> dict[str, dict[str, float] | None]:
+    """The scenario's control cases: name -> OPF weights, or None for no control."""
+    cases = spec.get("cases")
+    if not isinstance(cases, Mapping):
+        raise NetworkError("scenario 'cases' must be an object of name: weights or null")
+    out = {}
+    for name, weights in cases.items():
+        if weights is not None and not isinstance(weights, Mapping):
+            raise NetworkError(f"case {name!r}: weights must be an object or null")
+        out[name] = None if weights is None else {
+            k: _num(v, f"case {name!r} weight {k!r}") for k, v in weights.items()}
+    return out
+
+
+def _run_action(net: Network, closed: Network, action: tuple[str, str, str],
                 spec: Mapping) -> ScenarioReport:
-    """Every control case of one switching action: ``net`` with the switch
-    open, ``closed`` the same network with it closed."""
-    switch_name = action["switch"]
-    k1, k2 = action["targets"]
-    bounds = spec.get("voltage_bounds", {})
-    e_min = bounds.get("e_min", 0.9025)
-    e_max = bounds.get("e_max", 1.1025)
+    """Every control case of one switching action (switch, target 1, target
+    2): ``net`` with the switch open, ``closed`` the same network with it
+    closed."""
+    switch_name, k1, k2 = action
+    bounds = _entries(spec, "voltage_bounds", dict)
+    e_min = _num(bounds.get("e_min", 0.9025), "voltage_bounds.e_min")
+    e_max = _num(bounds.get("e_max", 1.1025), "voltage_bounds.e_max")
     line = net.line_map[switch_name]
     phases = line.phases
     y = np.linalg.inv(line.z)
 
     results = []
-    for case_name, weights in spec["cases"].items():
+    for case_name, weights in _cases(spec).items():
         if weights is None:
             w: dict[Channel, complex] = {}
             objective = None
@@ -326,8 +364,8 @@ def _run_action(net: Network, closed: Network, action: Mapping,
 def run_switch_scenario(spec: Mapping, base_dir: str | Path | None = None) -> ScenarioReport:
     """Evaluate every control case for the scenario's first switching action."""
     net = build_scenario_network(spec, base_dir)
-    action = spec["actions"][0]
-    return _run_action(net, net.close_switch(action["switch"]), action, spec)
+    action = _actions(spec)[0]
+    return _run_action(net, net.close_switch(action[0]), action, spec)
 
 
 def run_sequential_switching(spec: Mapping,
@@ -339,8 +377,8 @@ def run_sequential_switching(spec: Mapping,
     """
     net = build_scenario_network(spec, base_dir)
     reports = []
-    for action in spec["actions"]:
-        closed = net.close_switch(action["switch"])
+    for action in _actions(spec):
+        closed = net.close_switch(action[0])
         reports.append(_run_action(net, closed, action, spec))
         net = closed
     return reports

@@ -10,29 +10,39 @@ read
     Th_up - Th_dn = -(N P + M Q)
 
 where M and N are the real and imaginary parts of the displacement-weighted
-conjugate impedance. Power balance at each class closes the square system;
-voltage-dependent loads and the unclamped volt-var segment keep their
-E-proportional terms on the unknown side. The model is lossless, so one flow
-variable per line phase suffices.
+conjugate impedance w = rot * conj(z), rot[i, j] = a_i / a_j with
+a = (1, alpha^2, alpha) for phases (a, b, c). Power balance at each class
+closes the square system; voltage-dependent loads and the unclamped
+volt-var segment keep their E-proportional terms on the unknown side. The
+model is lossless, so one flow variable per line phase suffices.
 
-Loads enter the matrix only through the constant-impedance E terms of the
-balance rows, so ``A(loads) = A0 + U V^T`` with one rank per loaded class.
-The compiled feeder factors the load-free ``A0`` once; every solve is then
-a Woodbury update on a batch of load draws, and a single solve is a batch
-of one.
+With u = E/2 - j Theta per class the drop rows read u_up - u_dn = w S, so
+the flow is S = w^-1 (u_up - u_dn) with w^-1 = rot * conj(y): the linear
+model is a nodal system whose line admittance is w^-1. Every class is one
+phase, so its nodal matrix is D conj(Y_ff) D^-1 with D = diag(a_phase), and
+its inverse is Z_lin = D conj(Z) D^-1, the exact model's Z-bus conjugated
+and phase-rotated. A free class consuming d + c E then sits at
+
+    u = u_flat - Z_lin (d + c E),
+
+u_flat being its phase's slack value. The classes W whose draw depends on
+E (constant-impedance load or volt-var) first solve one real |W| x |W|
+system for E_W. So the linear model reads the same cached Z-bus columns as
+Newton and factors nothing of its own; every solve is checked against the
+drop and balance rows written from ``build_mn`` and the flow incidence.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 # MnPair and build_mn belong to the linear model; they live in model so that
-# the compiled feeder can lay out the system pattern.
-from .model import CompiledFeeder, LoadArrays, MnPair, Network, build_mn
+# the compiled feeder can stack them per line.
+from .model import CompiledFeeder, LoadArrays, MnPair, Network, ZBus, build_mn
 from .exact import PhasorSolution
 
 Channel = tuple[str, str]
@@ -68,46 +78,6 @@ class LinearSolution:
 
     def v_deg(self, node: str, phase: str) -> float:
         return math.degrees(self.theta[(node, phase)])
-
-
-class LinearSystem:
-    """The linear model's square sparse system for one set of loads.
-
-    Built on a compiled feeder's ``LinearPattern``. Exposes the class balance
-    row indices so dispatch terms (and optimization variables) can be folded
-    into the right-hand side.
-    """
-
-    def __init__(self, cf: CompiledFeeder, loads: LoadArrays):
-        self.cf = cf
-        self.loads = loads
-        pattern = cf.linear
-        self.row_p = pattern.row_p
-        self.row_q = pattern.row_q
-        s_const, s_zmag, s_fixed = cf.class_loads(loads)
-        self.A = pattern.matrix(s_zmag)
-        self.b0 = pattern.rhs(s_const + s_fixed)
-
-    def rhs(self, dispatch: Mapping[Channel, complex] | None = None) -> np.ndarray:
-        b = self.b0.copy()
-        for ch, w in (dispatch or {}).items():
-            k = self.cf.index.class_of[ch]
-            if k not in self.row_p:
-                raise KeyError(f"dispatch channel {ch} sits on the slack")
-            w = complex(w)
-            b[self.row_p[k]] += w.real
-            b[self.row_q[k]] += w.imag
-        return b
-
-    def injection_rows(self, ch: Channel) -> tuple[int, int]:
-        """Balance row indices (P, Q) for a channel's class."""
-        k = self.cf.index.class_of[ch]
-        return self.row_p[k], self.row_q[k]
-
-    def extract(
-        self, x: np.ndarray, dispatch: Mapping[Channel, complex] | None, residual: float
-    ) -> LinearSolution:
-        return _solution(self.cf, self.loads, x[None], dispatch, residual)
 
 
 @dataclass(frozen=True)
@@ -171,16 +141,7 @@ def solve_linear(
     Dispatch is consumption-positive, matching the exact solver.
     """
     cf = net.compiled
-    return solve_linear_compiled(cf, cf.load_arrays(net.loads), dispatch, residual_tol)
-
-
-def solve_linear_compiled(
-    cf: CompiledFeeder,
-    loads: LoadArrays,
-    dispatch: Mapping[Channel, complex] | None = None,
-    residual_tol: float = 1e-10,
-) -> LinearSolution:
-    """``solve_linear`` on a compiled feeder with the given loads."""
+    loads = cf.load_arrays(net.loads)
     x, res = linear_response(cf, loads.batch(), dispatch, residual_tol)
     return _solution(cf, loads, x, dispatch, float(res[0]))
 
@@ -193,59 +154,176 @@ def linear_response(
 ) -> tuple[np.ndarray, np.ndarray]:
     """States (draws, n_state) and residuals (draws,) for a batch of loads.
 
-    With y = A0^-1 b read off the cached balance-row solves G, the Woodbury
-    identity gives x = y - A0^-1 U (I + V^T A0^-1 U)^-1 V^T y, one r x r
-    capacitance solve per draw over the r classes with constant-impedance
-    load. Every product that forms a draw's state is a stacked
-    matrix-vector product, so the state does not depend on the batch
-    around it. Raises
-    ``RuntimeError`` when any draw's ``A x - b`` exceeds ``residual_tol``.
+    Every product that forms a draw's state is a stacked matrix-vector
+    product, and the E-coupled solve a stacked solve, so the state does not
+    depend on the batch around it. Raises ``RuntimeError`` when any draw's
+    ``A x - b`` exceeds ``residual_tol``.
     """
-    pattern = cf.linear
     dispatch = {k: complex(v) for k, v in (dispatch or {}).items()}
+    d, c = _draws(cf, loads, dispatch)
+    zb, coupled = _columns(cf, loads, [cf.channel_pos[ch] for ch in dispatch])
+    delta = np.zeros(d.shape, dtype=complex)
+    delta[:, cf.free] = _nodal(cf, zb, coupled, True, d[:, zb.cls], c[:, zb.cls])
+    x = _state(cf, delta)
+    return x, _audit(cf, x, d, c, residual_tol)
+
+
+def control_response(cf: CompiledFeeder, loads: LoadArrays, channels: Sequence[Channel]
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Class rows ``[E; Theta]`` of the linear state as an affine map of
+    the consumption ``w`` at ``channels``: ``x0 + B [Re w; Im w]``.
+
+    Returns ``x0``, the state under ``loads`` alone, its offset ``dx0``
+    from the flat state, and ``B``, whose column ``i`` is the response to
+    a unit real draw at channel ``i`` and column ``k + i`` to a unit
+    reactive one. All come from the same Z-bus columns.
+    """
+    loads = loads.batch()
+    d, c = _draws(cf, loads, {})
+    pos = [cf.channel_pos[ch] for ch in channels]
+    zb, coupled = _columns(cf, loads, pos)
+    k = len(pos)
+    unit = np.zeros((2 * k, len(zb.cls)), dtype=complex)
+    at = np.searchsorted(zb.cls, cf.channel_class[np.array(pos, dtype=int)])
+    unit[np.arange(k), at] = 1.0
+    unit[np.arange(k, 2 * k), at] = 1j
+    delta = np.zeros((1 + 2 * k, cf.n_cls), dtype=complex)
+    delta[:1, cf.free] = _nodal(cf, zb, coupled, True, d[:, zb.cls], c[:, zb.cls])
+    delta[1:, cf.free] = _nodal(cf, zb, coupled, False, unit, c[:, zb.cls])
+    u0 = cf.u_flat + delta[0]
+    dx = np.concatenate([2.0 * delta.real, -delta.imag], axis=-1)
+    return np.concatenate([2.0 * u0.real, -u0.imag]), dx[0], dx[1:].T
+
+
+def class_solution(cf: CompiledFeeder, loads: LoadArrays, dx: np.ndarray,
+                   dispatch: Mapping[Channel, complex], residual_tol: float) -> LinearSolution:
+    """The audited ``LinearSolution`` whose class rows ``[E; Theta]`` sit
+    ``dx`` off the flat state, under ``loads`` and ``dispatch``."""
+    n = cf.n_cls
+    x = _state(cf, (dx[:n] / 2.0 - 1j * dx[n:])[None])
+    d, c = _draws(cf, loads.batch(), dispatch)
+    return _solution(cf, loads, x, dispatch, float(_audit(cf, x, d, c, residual_tol)[0]))
+
+
+def _draws(cf: CompiledFeeder, loads: LoadArrays,
+           dispatch: Mapping[Channel, complex]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-class draw ``d`` and E coefficient ``c`` (draws, n_cls): a free
+    class consumes ``d + c E`` in the linear model."""
     s_const, s_zmag, s_fixed = cf.class_loads(loads)
-    s_base = s_const + s_fixed
-    touched = [cf.channel_class[loads.channel], cf.vvc_cls]
+    d = s_const + s_fixed
     for ch, w in dispatch.items():
         k = cf.index.class_of[ch]
-        if pattern.bal_pos[k] < 0:
+        if cf.free_pos[k] < 0:
             raise KeyError(f"dispatch channel {ch} sits on the slack")
-        s_base[..., k] += w
-        touched.append([k])
-    rhs_cls = np.unique(np.concatenate(touched).astype(int))
-    rhs_cls = rhs_cls[pattern.bal_pos[rhs_cls] >= 0]
-    z_cls = np.unique(cf.channel_class[loads.channel[loads.beta_z != 0]])
-    z_cls = z_cls[pattern.bal_pos[z_cls] >= 0]
+        d[..., k] += w
+    k0, k1 = np.zeros(cf.n_cls), np.zeros(cf.n_cls)
+    np.add.at(k0, cf.vvc_cls, cf.vvc_k0)
+    np.add.at(k1, cf.vvc_cls, cf.vvc_k1)
+    return d + 1j * k0, s_zmag + 1j * k1
 
-    rhs = np.concatenate([s_base[:, rhs_cls].real,
-                          s_base[:, rhs_cls].imag + pattern.k0[rhs_cls]], axis=-1)
-    x = pattern.x_pin + (pattern.response(rhs_cls) @ rhs[..., None])[..., 0]
-    zr, zi = s_zmag[:, z_cls].real, s_zmag[:, z_cls].imag
-    if len(z_cls):
-        r = len(z_cls)
-        g = pattern.response(z_cls)
-        ge = g[z_cls]  # the E rows of the loaded classes
-        cap = np.eye(r) - ge[:, :r] * zr[:, None, :] - ge[:, r:] * zi[:, None, :]
+
+def _columns(cf: CompiledFeeder, loads: LoadArrays, channels) -> tuple[ZBus, np.ndarray]:
+    """Z-bus columns at the classes that draw power (``loads``, the extra
+    ``channels`` and the volt-var units), and the positions among them of
+    the E-coupled classes: constant-impedance load or volt-var."""
+    zb = cf.zbus(np.concatenate([loads.channel, np.array(channels, dtype=int)]))
+    coupled = np.concatenate([cf.channel_class[loads.channel[loads.beta_z != 0]], cf.vvc_cls])
+    return zb, np.flatnonzero(np.isin(zb.cls, coupled))
+
+
+def _nodal(cf: CompiledFeeder, zb: ZBus, coupled: np.ndarray, flat: bool,
+           d: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Offset ``u - u_flat = -Z_lin (d + c E)`` of the free classes, with
+    ``d`` (draws, L) and ``c`` (draws or 1, L) given at the classes
+    ``zb.cls``.
+
+    ``Z_lin = D conj(Z) D^-1`` is applied as ``a ∘ conj(Z (a ∘ conj(v)))``
+    for ``D = diag(a)``. ``E`` at the ``coupled`` positions W first solves
+    the real ``(I + 2 Re(Z_lin[W, W] diag c_W)) E_W = E0_W - 2 Re(Z_lin d)_W``,
+    where ``E0`` is the flat ``2 Re u_flat``, or 0 for the response to ``d``
+    alone (``flat`` False). A ``c`` shared by every draw is one matrix
+    product and one solve for all of them; otherwise each draw's products
+    and solve are its own, so a draw's offset does not depend on the batch.
+    """
+    a_l = cf.class_rot[zb.cls]
+    shared = len(c) == 1 < len(d)
+
+    def z_times(z: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """``conj(z (a_l ∘ conj(v)))`` per draw: one product for a shared ``c``,
+        else a stacked matrix-vector product per draw."""
+        v = a_l * np.conj(v)
+        return np.conj((z @ v.T).T if shared else (z @ v[..., None])[..., 0])
+
+    s = d
+    if len(coupled):
+        a_w = a_l[coupled]
+        z_w = zb.z_ll[coupled]
+        rhs = -2.0 * (a_w * z_times(z_w, d)).real
+        if flat:
+            rhs = 2.0 * cf.u_flat[zb.cls[coupled]].real + rhs
+        z_ww = a_w[:, None] * np.conj(z_w[:, coupled]) * np.conj(a_w)
+        c_w = c[..., None, coupled]
+        cap = np.eye(len(coupled)) + 2.0 * (z_ww.real * c_w.real - z_ww.imag * c_w.imag)
         try:
-            w = np.linalg.solve(cap, x[:, z_cls, None])[..., 0]
+            if shared:
+                e = np.linalg.solve(cap[0], rhs.T).T
+            else:
+                e = np.linalg.solve(cap, rhs[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(f"singular linear system: {exc}") from exc
-        x = x + (g @ np.concatenate([zr * w, zi * w], axis=-1)[..., None])[..., 0]
+        s = d.copy()
+        s[..., coupled] += c[..., coupled] * e
+    return -cf.class_rot[cf.free] * z_times(zb.z, s)
 
-    # Audit A x - b = A0 x + U (V^T x) - b on every draw.
-    row_p = pattern.bal_row_p[pattern.bal_pos[rhs_cls]]
-    b = np.repeat(pattern.b_pin[None], len(x), axis=0)
-    b[:, row_p] = rhs[:, : len(rhs_cls)]
-    b[:, row_p + 1] = rhs[:, len(rhs_cls) :]
-    ax = (pattern.a0 @ x.T).T
-    row_z = pattern.bal_row_p[pattern.bal_pos[z_cls]]
-    ax[:, row_z] -= zr * x[:, z_cls]
-    ax[:, row_z + 1] -= zi * x[:, z_cls]
-    res = np.max(np.abs(ax - b), axis=-1, initial=0.0)
+
+def _state(cf: CompiledFeeder, delta: np.ndarray) -> np.ndarray:
+    """States [E; Theta; P; Q] of the class offsets ``delta = u - u_flat``.
+
+    Flows read the offsets alone: both ends of a line phase share their
+    phase's ``u_flat``, and leaving it out keeps the angle's rounding out
+    of the flow.
+    """
+    u = cf.u_flat + delta
+    s = _per_line(cf, cf.flow_w_inv, delta[..., cf.lp_from_cls] - delta[..., cf.lp_to_cls])
+    return np.concatenate([2.0 * u.real, -u.imag, s.real, s.imag], axis=-1)
+
+
+def _per_line(cf: CompiledFeeder, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Each real line's block applied to its own phases of ``v`` (draws,
+    n_flow): row ``f`` of ``w`` against ``v`` at ``cf.flow_mates[f]``."""
+    v = np.concatenate([v, np.zeros((len(v), 1))], axis=-1)
+    m = cf.flow_mates
+    return w[:, 0] * v[:, m[:, 0]] + w[:, 1] * v[:, m[:, 1]] + w[:, 2] * v[:, m[:, 2]]
+
+
+def _audit(cf: CompiledFeeder, x: np.ndarray, d: np.ndarray, c: np.ndarray,
+           residual_tol: float) -> np.ndarray:
+    """``max |A x - b|`` per draw over the model's rows, written from the
+    drop coefficients and the flow incidence alone, so an error in the
+    Z-bus solve or the rotation shows here.
+
+    Raises ``RuntimeError`` when a draw exceeds ``residual_tol``. The pin
+    rows of the slack classes hold by construction.
+    """
+    n, nf = cf.n_cls, cf.n_flow
+    e, theta = x[:, :n], x[:, n : 2 * n]
+    s = x[:, 2 * n : 2 * n + nf] + 1j * x[:, 2 * n + nf :]
+    # Drop rows per real line phase: (m + jn) S against dE/2 - j dTheta.
+    ws = _per_line(cf, cf.flow_mn, s)
+    drop_e = e[:, cf.lp_from_cls] - e[:, cf.lp_to_cls] - 2.0 * ws.real
+    drop_t = theta[:, cf.lp_from_cls] - theta[:, cf.lp_to_cls] + ws.imag
+    # Balance rows per free class: arriving minus leaving flow is the draw.
+    at = (np.arange(len(x))[:, None] * n + np.concatenate([cf.lp_to_cls, cf.lp_from_cls])).ravel()
+    signed = np.concatenate([s, -s], axis=-1).ravel()
+    inflow = (np.bincount(at, signed.real, len(x) * n)
+              + 1j * np.bincount(at, signed.imag, len(x) * n)).reshape(len(x), n)
+    bal = (inflow - d - c * e)[:, cf.free]
+    res = np.max(np.abs(np.concatenate([drop_e, drop_t, bal.real, bal.imag], axis=-1)),
+                 axis=-1, initial=0.0)
     worst = float(np.max(res, initial=0.0))
     if worst > residual_tol:
         raise RuntimeError(f"linear solve residual {worst:.3e} exceeds {residual_tol:.1e}")
-    return x, res
+    return res
 
 
 def angle_residual(net: Network, sol: PhasorSolution) -> float:

@@ -153,7 +153,7 @@ class DerSpec:
     def __post_init__(self) -> None:
         if self.phase not in PHASE_INDEX:
             raise NetworkError(f"der at {self.node}: unknown phase {self.phase!r}")
-        if self.capacity < 0:
+        if not self.capacity >= 0:
             raise NetworkError(f"der at {self.node}.{self.phase}: capacity must be >= 0")
 
 
@@ -229,6 +229,8 @@ class Network:
         object.__setattr__(self, "slack_voltage", tuple(complex(v) for v in self.slack_voltage))
         if len(self.slack_voltage) != 3:
             raise NetworkError("slack_voltage must have one phasor per phase")
+        if not all(0.0 < abs(v) < math.inf for v in self.slack_voltage):
+            raise NetworkError("slack_voltage phasors must be finite and nonzero")
         object.__setattr__(self, "line_configs", dict(self.line_configs))
         self._validate()
 
@@ -539,10 +541,14 @@ def build_mn(z: np.ndarray, phases: tuple[str, ...]) -> MnPair:
     k = len(phases)
     if z.shape != (k, k):
         raise ValueError(f"impedance must be {k}x{k}, got {z.shape}")
-    gi = [PHASE_INDEX[p] for p in phases]
-    rot = _ROTATION[np.ix_(gi, gi)]
-    w = rot * np.conj(z)
+    w = _rotate_conj(z, np.array([PHASE_INDEX[p] for p in phases]))
     return MnPair(m=w.real.copy(), n=w.imag.copy())
+
+
+def _rotate_conj(z: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """``rot ⊙ conj(z)`` for per-phase matrices ``z`` (..., k, k) whose rows
+    and columns sit on the global phase indices ``phase`` (..., k)."""
+    return _ROTATION[phase[..., :, None], phase[..., None, :]] * np.conj(z)
 
 
 @dataclass(frozen=True)
@@ -581,11 +587,12 @@ class CompiledFeeder:
 
     Holds the class index arrays and flat start, the free-class block
     ``Y_ff`` of the sparse nodal admittance and (on first use) its
-    factorisation and the Z-bus columns that Newton iterates on, the
+    factorisation and the Z-bus columns that both models solve on, the
     stacked line admittances and end classes that give line currents, the
-    ideal-coupling recovery order, and (on first use) the sparse pattern of
-    the linear system. Loads are not compiled: every solve passes them as
-    ``LoadArrays``, so a sweep that only changes loads reuses one compile.
+    ideal-coupling recovery order, and (on first use) the phase rotations
+    and rotated line arrays of the linear model. Loads are not compiled:
+    every solve passes them as ``LoadArrays``, so a sweep that only changes
+    loads reuses one compile.
     The per-class and per-line helpers take arrays with any leading batch
     axes and treat every row alike.
     """
@@ -621,8 +628,7 @@ class CompiledFeeder:
 
         # Y_ff = G + jB: the free rows and columns of the sum over lines of
         # [[y, -y], [-y, y]] on (from, to) classes, padding left out, held as
-        # the real [[G, -B], [B, G]] so that it shares the real sparse LU
-        # code with the linear model.
+        # the real [[G, -B], [B, G]] for SuperLU's real code.
         ends = np.where(np.concatenate([live, live], axis=1),
                         self.free_pos[np.concatenate([fcol, tcol], axis=1)], -1)
         block = np.concatenate(
@@ -709,6 +715,47 @@ class CompiledFeeder:
             z = np.stack([self.z_columns[k] for k in cls.tolist()], axis=1)
         return ZBus(cls=cls, z=z, z_ll=z[self.free_pos[cls]])
 
+    @cached_property
+    def class_phase(self) -> np.ndarray:
+        """Global phase index of each class; an ideal coupling joins one
+        phase only, so a class has one."""
+        return np.array([PHASE_INDEX[mem[0][1]] for mem in self.index.classes], dtype=int)
+
+    @cached_property
+    def class_rot(self) -> np.ndarray:
+        """Nominal direction ``a = (1, alpha^2, alpha)`` of each class's
+        phase: the ratio of its phase to phase a."""
+        return _ROTATION[self.class_phase, 0]
+
+    @cached_property
+    def u_flat(self) -> np.ndarray:
+        """Load-free linear state ``E/2 - j Theta`` per class: each class at
+        its phase's slack phasor."""
+        return np.abs(self.v_flat) ** 2 / 2.0 - 1j * np.angle(self.v_flat)
+
+    @cached_property
+    def flow_mates(self) -> np.ndarray:
+        """Per real line phase, the flow positions of its line's phases in
+        the order of ``line_y``'s columns; padding points at ``n_flow``."""
+        pos = np.full(self.line_live.shape, self.n_flow)
+        pos[self.line_live] = np.arange(self.n_flow)
+        return np.repeat(pos[:, None, :], 3, axis=1)[self.line_live]
+
+    @cached_property
+    def flow_mn(self) -> np.ndarray:
+        """``build_mn``'s ``m + jn`` row of every real line phase, over
+        ``flow_mates``."""
+        z = np.zeros_like(self.line_y)
+        for l, ln in enumerate(self.index.real_lines):
+            z[l, : len(ln.phases), : len(ln.phases)] = ln.z
+        return _rotate_conj(z, self.class_phase[self.line_fcol])[self.line_live]
+
+    @cached_property
+    def flow_w_inv(self) -> np.ndarray:
+        """The rows of ``rot ⊙ conj(y)``, the inverse of ``flow_mn`` per
+        line: the linear model's flow is ``w^-1 (u_from - u_to)``."""
+        return _rotate_conj(self.line_y, self.class_phase[self.line_fcol])[self.line_live]
+
     def vvc_droop(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``VvcSpec.response`` and its slope at one magnitude per volt-var unit.
 
@@ -793,10 +840,6 @@ class CompiledFeeder:
         """Split values over all closed line phases (real then ideal) by line."""
         return {name: flat[sl] for name, sl in zip(self.line_names, self.line_slices)}
 
-    @cached_property
-    def linear(self) -> "LinearPattern":
-        return LinearPattern(self)
-
 
 def _sum_loads(loads: LoadArrays, bins: np.ndarray, n: int):
     shape = loads.demand.shape[:-1] + (n,)
@@ -807,163 +850,6 @@ def _sum_loads(loads: LoadArrays, bins: np.ndarray, n: int):
     np.add.at(s_zmag, (..., bins), loads.beta_z * loads.demand)
     np.add.at(s_fixed, (..., bins), -1j * loads.cap)
     return s_const, s_zmag, s_fixed
-
-
-class LinearPattern:
-    """Sparse layout of the linear model's square system over [E; Theta; P; Q].
-
-    Row layout: two drop rows per real line phase, then per class either two
-    balance rows or, for slack-tied classes, two pin rows. The load-dependent
-    entries (the E terms of the balance rows) and the balance right-hand
-    sides are value slots that ``matrix`` and ``rhs`` fill for given loads.
-
-    Loads change the matrix only in those E slots, so every system is a
-    low-rank update of the load-free matrix ``a0``. It is factored once, on
-    first use, and ``response`` caches its solves against the balance rows
-    that the loads and dispatch touch.
-    """
-
-    def __init__(self, cf: CompiledFeeder) -> None:
-        idx = cf.index
-        n_cls, n_flow = cf.n_cls, cf.n_flow
-        self.n_state = 2 * n_cls + 2 * n_flow
-        col_p = 2 * n_cls
-        col_q = 2 * n_cls + n_flow
-
-        rows_i: list[int] = []
-        cols_j: list[int] = []
-        vals: list[float] = []
-
-        def put(r: int, c: int, v: float) -> None:
-            rows_i.append(r)
-            cols_j.append(c)
-            vals.append(v)
-
-        r = 0
-        base = 0
-        for ln in idx.real_lines:
-            mn = build_mn(ln.z, ln.phases)
-            fc = idx.line_from_cls[ln.name]
-            tc = idx.line_to_cls[ln.name]
-            k = len(ln.phases)
-            for pi in range(k):
-                put(r, int(fc[pi]), 1.0)
-                put(r, int(tc[pi]), -1.0)
-                for pj in range(k):
-                    put(r, col_p + base + pj, -2.0 * mn.m[pi, pj])
-                    put(r, col_q + base + pj, 2.0 * mn.n[pi, pj])
-                r += 1
-                put(r, n_cls + int(fc[pi]), 1.0)
-                put(r, n_cls + int(tc[pi]), -1.0)
-                for pj in range(k):
-                    put(r, col_p + base + pj, mn.n[pi, pj])
-                    put(r, col_q + base + pj, mn.m[pi, pj])
-                r += 1
-            base += k
-
-        # Flow incidence per class: +1 arriving, -1 leaving.
-        arriving: dict[int, list[int]] = {}
-        leaving: dict[int, list[int]] = {}
-        for f, (fc, tc) in enumerate(zip(cf.lp_from_cls.tolist(), cf.lp_to_cls.tolist())):
-            arriving.setdefault(tc, []).append(f)
-            leaving.setdefault(fc, []).append(f)
-
-        self.b_pin = np.zeros(self.n_state)
-        self.row_p: dict[int, int] = {}
-        self.row_q: dict[int, int] = {}
-        for k in range(n_cls):
-            if k in idx.slack_value:
-                vs = idx.slack_value[k]
-                put(r, k, 1.0)
-                self.b_pin[r] = abs(vs) ** 2
-                put(r + 1, n_cls + k, 1.0)
-                self.b_pin[r + 1] = math.atan2(vs.imag, vs.real)
-                r += 2
-                continue
-            for row, col in ((r, col_p), (r + 1, col_q)):
-                for f in arriving.get(k, ()):
-                    put(row, col + f, 1.0)
-                for f in leaving.get(k, ()):
-                    put(row, col + f, -1.0)
-                put(row, k, 0.0)  # E slot, filled per solve
-            self.row_p[k], self.row_q[k] = r, r + 1
-            r += 2
-
-        if r != self.n_state:
-            raise AssertionError(f"system is not square: {r} rows, {self.n_state} columns")
-        a = sp.csc_matrix(sp.coo_matrix((vals, (rows_i, cols_j)), shape=(r, r)))
-        self.indptr, self.indices, self.data = a.indptr, a.indices, a.data
-
-        self.bal_cls = np.array(list(self.row_p), dtype=int)
-        self.bal_row_p = np.array(list(self.row_p.values()), dtype=int)
-        self.bal_row_q = self.bal_row_p + 1
-        self.bal_pos = np.full(n_cls, -1)
-        self.bal_pos[self.bal_cls] = np.arange(len(self.bal_cls))
-        #: Balance class -> its (P, Q) row solves against ``a0``, shape (2, n_state).
-        self.columns: dict[int, np.ndarray] = {}
-
-        def slot(row: int, col: int) -> int:
-            lo, hi = self.indptr[col], self.indptr[col + 1]
-            return int(lo + np.searchsorted(self.indices[lo:hi], row))
-
-        self.slot_p = np.array([slot(r, k) for k, r in zip(self.bal_cls, self.bal_row_p)], dtype=int)
-        self.slot_q = np.array([slot(r, k) for k, r in zip(self.bal_cls, self.bal_row_q)], dtype=int)
-        self.k0 = np.zeros(n_cls)
-        self.k1 = np.zeros(n_cls)
-        np.add.at(self.k0, cf.vvc_cls, cf.vvc_k0)
-        np.add.at(self.k1, cf.vvc_cls, cf.vvc_k1)
-
-    def matrix(self, s_zmag: np.ndarray) -> sp.csc_matrix:
-        """System matrix for per-class constant-impedance loads ``s_zmag``."""
-        data = self.data.copy()
-        k = self.bal_cls
-        data[self.slot_p] = -s_zmag[k].real
-        data[self.slot_q] = -(s_zmag[k].imag + self.k1[k])
-        return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.n_state, self.n_state))
-
-    def rhs(self, s_base: np.ndarray) -> np.ndarray:
-        """Right-hand side for the per-class load-independent draw ``s_base``."""
-        b = self.b_pin.copy()
-        k = self.bal_cls
-        b[self.bal_row_p] = s_base[k].real
-        b[self.bal_row_q] = s_base[k].imag + self.k0[k]
-        return b
-
-    @cached_property
-    def a0(self) -> sp.csc_matrix:
-        """The matrix without constant-impedance load; the volt-var slope stays."""
-        return self.matrix(np.zeros(len(self.k1), dtype=complex))
-
-    @cached_property
-    def lu(self) -> spla.SuperLU:
-        """The feeder's one sparse factorisation, of ``a0``."""
-        return spla.splu(self.a0)
-
-    @cached_property
-    def x_pin(self) -> np.ndarray:
-        """``a0^-1`` applied to the pin rows' right-hand side."""
-        return self.lu.solve(self.b_pin)
-
-    def response(self, cls: np.ndarray) -> np.ndarray:
-        """``a0^-1 [e_row_p, e_row_q]`` for the balance classes ``cls``.
-
-        Returns (n_state, 2 len(cls)): the P-row columns of ``cls`` in order,
-        then their Q-row columns. Missing pairs are solved in one call and
-        cached; SuperLU solves each right-hand side on its own, so a column
-        does not depend on which others were solved with it.
-        """
-        missing = [k for k in cls.tolist() if k not in self.columns]
-        if missing:
-            n = len(missing)
-            rows = self.bal_row_p[self.bal_pos[missing]]
-            e = np.zeros((self.n_state, 2 * n))
-            e[rows, np.arange(n)] = 1.0
-            e[rows + 1, np.arange(n, 2 * n)] = 1.0
-            g = self.lu.solve(e)
-            for i, k in enumerate(missing):
-                self.columns[k] = np.stack([g[:, i], g[:, n + i]])
-        g = np.array([self.columns[k] for k in cls.tolist()]).reshape(-1, 2, self.n_state)
-        return g.transpose(2, 1, 0).reshape(self.n_state, -1)
 
 
 def wrap_angle(theta: float | np.ndarray):

@@ -17,9 +17,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse.linalg as spla
 
-from .linear import LinearSolution, LinearSystem
+from .linear import LinearSolution, class_solution, control_response
 from .model import Network
 
 Channel = tuple[str, str]
@@ -47,34 +46,23 @@ class DispatchConvergenceError(RuntimeError):
 
 
 class _ReducedModel:
-    """Dense affine response of the linear state to the control channels.
+    """Dense affine response of the linear class state [E; Theta] to the
+    control channels.
 
-    x(c) = x0 + B c with c = [u_1..u_k, v_1..v_k]. Rows of interest are
-    pulled out once: target E/Theta differences and the box-bounded E of
-    every free class.
+    x(c) = x0 + B c with c = [u_1..u_k, v_1..v_k], read off the feeder's
+    cached Z-bus columns; ``dx0`` is x0's offset from the flat state. Rows
+    of interest are pulled out once: target E/Theta differences and the
+    box-bounded E of every free class.
     """
 
     def __init__(self, net: Network, targets: Sequence[tuple[str, str]],
                  channels: Sequence[Channel]):
         cf = net.compiled
-        self.system = LinearSystem(cf, cf.load_arrays(net.loads))
         idx = net.index
-        lu = spla.splu(self.system.A)
-        n_state = self.system.A.shape[0]
-        self.x0 = lu.solve(self.system.b0)
+        self.loads = cf.load_arrays(net.loads)
+        self.x0, self.dx0, self.B = control_response(cf, self.loads, channels)
 
-        k = len(channels)
-        self.B = np.zeros((n_state, 2 * k))
-        for i, ch in enumerate(channels):
-            row_p, row_q = self.system.injection_rows(ch)
-            e = np.zeros(n_state)
-            e[row_p] = 1.0
-            self.B[:, i] = lu.solve(e)
-            e[:] = 0.0
-            e[row_q] = 1.0
-            self.B[:, k + i] = lu.solve(e)
-
-        n_cls = len(idx.classes)
+        n_cls = cf.n_cls
         diff_e: list[np.ndarray] = []
         diff_t: list[np.ndarray] = []
         self.target_phases: list[tuple[str, str, str]] = []
@@ -86,10 +74,10 @@ class _ReducedModel:
             for p in common:
                 c1 = idx.class_of[(k1, p)]
                 c2 = idx.class_of[(k2, p)]
-                row = np.zeros(n_state)
+                row = np.zeros(2 * n_cls)
                 row[c1], row[c2] = 1.0, -1.0
                 diff_e.append(row)
-                row = np.zeros(n_state)
+                row = np.zeros(2 * n_cls)
                 row[n_cls + c1], row[n_cls + c2] = 1.0, -1.0
                 diff_t.append(row)
                 self.target_phases.append((k1, k2, p))
@@ -105,9 +93,6 @@ class _ReducedModel:
         self.b_e = self.B[self.free_classes, :]
         # First channel of each class, for naming box violations.
         self.class_labels = [idx.classes[c][0] for c in idx.free_classes]
-
-    def state(self, c: np.ndarray) -> np.ndarray:
-        return self.x0 + self.B @ c
 
     def quadratic(self, rho_mag: float, rho_angle: float,
                   rho_effort: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -152,9 +137,7 @@ class OpfProblem:
     def m_map(self) -> np.ndarray:
         """Stacked constraint image: the controls themselves (disk slots),
         then the free-class E values (box slots)."""
-        k = len(self.channels)
-        b_e = self.model.b_e
-        return np.vstack([np.eye(2 * k), b_e]) if k else b_e.reshape(-1, 0)
+        return np.vstack([np.eye(2 * len(self.channels)), self.model.b_e])
 
 
 @dataclass(frozen=True)
@@ -190,8 +173,8 @@ def build_opf(net: Network, targets: Sequence[tuple[str, str]],
     if unknown:
         raise ValueError(f"unknown weight keys: {sorted(unknown)}")
     rho = {k: float(weights.get(k, 0.0)) for k in WEIGHT_KEYS}
-    if any(v < 0.0 for v in rho.values()):
-        raise ValueError("weights must be nonnegative")
+    if not all(v >= 0.0 for v in rho.values()):
+        raise ValueError("weights must be nonnegative numbers")
     if all(v == 0.0 for v in rho.values()):
         raise ValueError("degenerate weights: all zero")
     if not e_min < e_max:
@@ -207,10 +190,10 @@ def build_opf(net: Network, targets: Sequence[tuple[str, str]],
         channels.append((der.node, der.phase))
         caps.append(der.capacity)
 
-    model = _ReducedModel(net, targets, channels)
     for ch in channels:
-        if net.index.class_of[ch] not in model.system.row_p:
+        if net.index.class_of[ch] in net.index.slack_value:
             raise ValueError(f"resource channel {ch} is tied to the slack")
+    model = _ReducedModel(net, targets, channels)
     return OpfProblem(
         network=net,
         targets=tuple((k1, k2) for k1, k2 in targets),
@@ -368,12 +351,7 @@ def _finish(prob: OpfProblem, c: np.ndarray, multipliers: np.ndarray,
     objective = (prob.rho_mag * c_mag + prob.rho_angle * c_angle
                  + prob.rho_effort * c_effort)
 
-    x = mdl.state(c)
-    b = mdl.system.rhs(w)
-    res = float(np.max(np.abs(mdl.system.A @ x - b)))
-    if res > 1e-8:
-        raise RuntimeError(f"dispatch state residual {res:.3e} exceeds 1e-8")
-    linear = mdl.system.extract(x, w, res)
+    linear = class_solution(prob.network.compiled, mdl.loads, mdl.dx0 + mdl.B @ c, w, 1e-8)
 
     return Dispatch(
         w=w,

@@ -168,6 +168,7 @@ class TestMalformedDocuments:
         "negative_length": ("ieee13_raw.json",
                             lambda d: _first_sized_line(d).update(length_ft=-100.0)),
         "zero_length": ("ieee13_raw.json", lambda d: _first_sized_line(d).update(length_ft=0)),
+        "zero_slack_phasor": ("ieee13.json", lambda d: d["slack"].update(voltage=[0, 0, 0])),
     }
 
     @pytest.mark.parametrize("probe", sorted(PROBES))
@@ -194,6 +195,35 @@ class TestMalformedDocuments:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         self.assert_clean_exit_1(*run(capsys, "scenario", str(bad)))
+
+    def test_zero_slack_phasor_linearize_exit_1(self, capsys, tmp_path, data_dir):
+        doc = json.loads((data_dir / "ieee13.json").read_text())
+        doc["slack"]["voltage"] = [0, 0, 0]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        self.assert_clean_exit_1(*run(capsys, "linearize", str(bad)))
+
+    SCENARIO_PROBES = {
+        "no_actions": lambda d: d.update(actions=[]),
+        "no_switches": lambda d: d.update(switches=[]),
+        "cases_a_list": lambda d: d.update(cases=[None, {"magnitude": 1.0}]),
+        "string_e_min": lambda d: d["voltage_bounds"].update(e_min="0.9"),
+        "nan_weight": lambda d: d["cases"]["MC"].update(magnitude=float("nan")),
+        "nan_der_capacity": lambda d: d["der"][0].update(capacity=float("nan")),
+    }
+
+    @pytest.mark.parametrize("sequential", [False, True], ids=["first", "sequential"])
+    @pytest.mark.parametrize("probe", sorted(SCENARIO_PROBES))
+    def test_malformed_scenario_exit_1_without_traceback(self, capsys, tmp_path, data_dir,
+                                                         probe, sequential):
+        doc = json.loads((data_dir / "ieee13_dual.json").read_text())
+        doc.update(base_feeder=str(data_dir / doc["base_feeder"]),
+                   shared_mods=str(data_dir / doc["shared_mods"]))
+        self.SCENARIO_PROBES[probe](doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        args = ["scenario", str(bad)] + (["--sequential"] if sequential else [])
+        self.assert_clean_exit_1(*run(capsys, *args))
 
     @staticmethod
     def assert_clean_exit_1(rc, out, err):

@@ -3,13 +3,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import phasorflow.model as model
 from phasorflow.exact import solve_exact
-from phasorflow.linear import (LinearSystem, angle_residual, build_mn, linear_response,
-                               solve_linear)
+from phasorflow.linear import angle_residual, build_mn, linear_response, solve_linear
 from phasorflow.model import LineSpec, LoadSpec, Network, NodeSpec
+from phasorflow.opf import build_opf
 
 NOMINAL_ANGLE = {"a": 0.0, "b": -2.0 * math.pi / 3.0, "c": 2.0 * math.pi / 3.0}
 
@@ -204,9 +205,84 @@ def test_moderate_load_proximity(ieee13):
         assert lin.v_mag(*ch) == pytest.approx(abs(ex.V[ch]), abs=0.01)
 
 
+def linear_system(net, dispatch=None):
+    """The linear model's square sparse system over [E; Theta; P; Q] and its
+    right-hand side, written row by row from ``build_mn`` and the flow
+    incidence: two drop rows per real line phase, then per class either two
+    balance rows or, for a slack-tied class, two pin rows. Independent of the
+    Z-bus solve in the production model."""
+    idx = net.index
+    n_cls = len(idx.classes)
+    n_flow = sum(len(ln.phases) for ln in idx.real_lines)
+    n_state = 2 * n_cls + 2 * n_flow
+    col_p, col_q = 2 * n_cls, 2 * n_cls + n_flow
+    rows, cols, vals = [], [], []
+
+    def put(r, c, v):
+        rows.append(r)
+        cols.append(c)
+        vals.append(v)
+
+    r = base = 0
+    arriving, leaving = {}, {}
+    for ln in idx.real_lines:
+        mn = build_mn(ln.z, ln.phases)
+        fc, tc = idx.line_from_cls[ln.name], idx.line_to_cls[ln.name]
+        k = len(ln.phases)
+        for pi in range(k):
+            put(r, int(fc[pi]), 1.0)
+            put(r, int(tc[pi]), -1.0)
+            for pj in range(k):
+                put(r, col_p + base + pj, -2.0 * mn.m[pi, pj])
+                put(r, col_q + base + pj, 2.0 * mn.n[pi, pj])
+            put(r + 1, n_cls + int(fc[pi]), 1.0)
+            put(r + 1, n_cls + int(tc[pi]), -1.0)
+            for pj in range(k):
+                put(r + 1, col_p + base + pj, mn.n[pi, pj])
+                put(r + 1, col_q + base + pj, mn.m[pi, pj])
+            r += 2
+            arriving.setdefault(int(tc[pi]), []).append(base + pi)
+            leaving.setdefault(int(fc[pi]), []).append(base + pi)
+        base += k
+
+    # A class consumes d + c E: loads, volt-var on its open segment, dispatch.
+    d = np.zeros(n_cls, dtype=complex)
+    c = np.zeros(n_cls, dtype=complex)
+    for ld in net.loads:
+        k = idx.class_of[(ld.node, ld.phase)]
+        d[k] += ld.beta_s * ld.demand - 1j * ld.cap
+        c[k] += ld.beta_z * ld.demand
+    for unit in net.vvc_units:
+        k0, k1 = unit.linear_coeffs()
+        d[idx.class_of[(unit.node, unit.phase)]] += 1j * k0
+        c[idx.class_of[(unit.node, unit.phase)]] += 1j * k1
+    for ch, w in (dispatch or {}).items():
+        d[idx.class_of[ch]] += w
+
+    b = np.zeros(n_state)
+    for k in range(n_cls):
+        if k in idx.slack_value:
+            vs = idx.slack_value[k]
+            put(r, k, 1.0)
+            put(r + 1, n_cls + k, 1.0)
+            b[r], b[r + 1] = abs(vs) ** 2, math.atan2(vs.imag, vs.real)
+        else:
+            for row, col in ((r, col_p), (r + 1, col_q)):
+                for f in arriving.get(k, ()):
+                    put(row, col + f, 1.0)
+                for f in leaving.get(k, ()):
+                    put(row, col + f, -1.0)
+            put(r, k, -c[k].real)
+            put(r + 1, k, -c[k].imag)
+            b[r], b[r + 1] = d[k].real, d[k].imag
+        r += 2
+    assert r == n_state
+    return sp.csc_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(r, r))), b
+
+
 class TestFactoredResponse:
-    """The Woodbury solve on the factored load-free matrix against a direct
-    sparse solve of the assembled system."""
+    """The Z-bus solve of the linear model against a direct sparse solve of
+    the system the test writes itself."""
 
     @pytest.mark.parametrize("case", ["ieee13", "ieee37", "dual13_dispatch"])
     def test_matches_direct_solve(self, case, ieee13, ieee37, dual13):
@@ -218,9 +294,8 @@ class TestFactoredResponse:
         cf = net.compiled
         loads = cf.load_arrays(net.loads)
         if case == "dual13_dispatch":
-            assert np.any(cf.linear.k1 != 0.0) and dispatch
-        system = LinearSystem(cf, loads)
-        want = spla.spsolve(system.A, system.rhs(dispatch))
+            assert net.vvc_units and dispatch
+        want = spla.spsolve(*linear_system(net, dispatch))
         x, res = linear_response(cf, loads.batch(), dispatch)
         assert np.max(np.abs(x[0] - want)) <= 1e-13
         assert res[0] <= 1e-13
@@ -234,23 +309,23 @@ class TestFactoredResponse:
             one, _ = linear_response(cf, replace(loads, demand=d).batch())
             assert np.array_equal(x[row], one[0])
 
-    def test_one_factorisation_on_first_linear_use(self, ieee13, monkeypatch):
+    def test_one_factorisation_per_compiled_feeder(self, dual13, monkeypatch):
         calls = []
         real = model.spla.splu
         monkeypatch.setattr(model.spla, "splu", lambda a: calls.append(a.shape) or real(a))
-        net = replace(ieee13)
+        net = replace(dual13)
         solve_exact(net)
-        # the exact solver factors only Y_ff (real form), for its Z-bus columns
+        solve_linear(net)
+        solve_linear(net, dispatch={(d.node, d.phase): 0.01 + 0.01j for d in net.der_units})
+        build_opf(net, [("1680", "2680")], {"magnitude": 1.0, "angle": 1.0, "effort": 1.0})
+        # the real form of Y_ff, whose Z-bus columns both models read
         n_free = len(net.compiled.free)
         assert calls == [(2 * n_free, 2 * n_free)]
-        solve_linear(net)
-        solve_linear(net, dispatch={("671", "a"): 0.01 + 0.01j})
-        assert calls[1:] == [(net.compiled.linear.n_state,) * 2]
 
     def test_residual_audit_catches_a_perturbed_response(self, ieee13):
         net = replace(ieee13)  # its own compile, so the cache below is private
         solve_linear(net)
-        cached = net.compiled.linear.columns
+        cached = net.compiled.z_columns
         assert cached
         cached[next(iter(cached))][0] *= 1.0 + 1e-6
         with pytest.raises(RuntimeError, match="linear solve residual"):

@@ -1,4 +1,4 @@
-"""Random valid feeders against the exact solver's oracles.
+"""Random valid feeders against the exact and linear solvers' oracles.
 
 Hypothesis builds small networks the shipped feeders never show: random
 trees of 1-, 2- and 3-phase segments from the ieee13 line configs behind an
@@ -10,6 +10,7 @@ so the battery is the same on every run.
 from dataclasses import replace
 
 import numpy as np
+import scipy.sparse.linalg as spla
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -17,8 +18,12 @@ from conftest import DATA
 from phasorflow import load_feeder
 from phasorflow.exact import (_injections, evaluate, jacobian, kcl_residual, newton_batch,
                               solve_exact)
+from phasorflow.linear import angle_residual, linear_response, solve_linear
 from phasorflow.model import DerSpec, LineSpec, LoadSpec, Network, NodeSpec, VvcSpec
+from phasorflow.opf import DispatchConvergenceError, build_opf, kkt_check, solve_opf
+from test_acceptance import flow_error_split
 from test_exact import sweep_reference
+from test_linear import linear_system
 
 BASE = load_feeder(DATA / "ieee13.json")
 CONFIGS = sorted(BASE.line_configs.items())
@@ -151,3 +156,83 @@ def test_jacobian_matches_central_difference(case, seed):
             cols.append(np.concatenate([df.real, df.imag]))
     numeric = np.array(cols).T
     assert np.max(np.abs(analytic - numeric)) <= 1e-6 * np.max(np.abs(analytic))
+
+
+def off_the_slack(net, dispatch):
+    """``dispatch`` without the channels tied to the slack, where the linear
+    model has no balance row to put a draw in."""
+    idx = net.index
+    return {ch: w for ch, w in dispatch.items() if idx.class_of[ch] not in idx.slack_value}
+
+
+def volt_var_term(net, exact, approx):
+    """Per (line, phase): the exact-minus-linear volt-var draw below the
+    line's receiving end, for a radial net oriented away from the slack."""
+    children, units_at = {}, {}
+    for ln in net.lines:
+        children.setdefault(ln.from_node, []).append(ln)
+    for u in net.vvc_units:
+        ch = (u.node, u.phase)
+        units_at.setdefault(u.node, []).append((u.phase, 1j * (exact.vvc_q[ch] - approx.vvc_q[ch])))
+    out = {}
+
+    def below(node):
+        tot = dict.fromkeys("abc", 0j)
+        for phase, term in units_at.get(node, ()):
+            tot[phase] += term
+        for ln in children.get(node, ()):
+            sub = below(ln.to_node)
+            for p in ln.phases:
+                out[(ln.name, p)] = sub[p]
+                tot[p] += sub[p]
+        return tot
+
+    below(net.slack_id)
+    return out
+
+
+@BATTERY
+@given(feeders())
+def test_linear_solution_passes_the_oracles(case):
+    net, dispatch, radial = case
+    dispatch = off_the_slack(net, dispatch)
+    cf = net.compiled
+    exact = solve_exact(net, dispatch=dispatch)
+    assert angle_residual(net, exact) <= 1e-8
+    x, _ = linear_response(cf, cf.load_arrays(net.loads).batch(), dispatch)
+    assert np.max(np.abs(x[0] - spla.spsolve(*linear_system(net, dispatch)))) <= 1e-12
+    if radial:
+        # Lossless and first order in E: per line, flow error = exact losses
+        # below it + the beta_Z term + the volt-var term (criterion 1's identity).
+        approx = solve_linear(net, dispatch=dispatch)
+        vvc = volt_var_term(net, exact, approx)
+        split = flow_error_split(net, exact, approx)
+        assert max(abs(e - loss - bz - vvc[(name, p)])
+                   for name, p, e, loss, bz in split) <= 1e-9
+
+
+@BATTERY
+@given(feeders(), st.data())
+def test_dispatch_passes_kkt(case, data):
+    net, _, _ = case
+    idx = net.index
+    free = [ch for ch in net.channels if idx.class_of[ch] not in idx.slack_value]
+    if not free:
+        return  # every channel is tied to the slack: nothing to dispatch
+    ders = data.draw(st.lists(st.sampled_from(free), min_size=1, max_size=4, unique=True))
+    net = replace(net, der_units=tuple(DerSpec(n, p, 0.02) for n, p in ders))
+    far = max(net.node_map, key=lambda n: int(n[1:]) if n.startswith("n") else -1)
+    wide = build_opf(net, [("n0", far)], {"magnitude": 1000.0, "angle": 1000.0, "effort": 1.0},
+                     e_min=0.5, e_max=1.5)
+    disp = solve_opf(wide)
+    assert kkt_check(wide, disp).passed
+    # Halfway between the undispatched and the dispatched E extremes: half
+    # the wide box's dispatch is feasible, the dispatch itself is not.
+    c = np.array([w.real for w in disp.w.values()] + [w.imag for w in disp.w.values()])
+    e0, e = wide.model.e0, wide.model.e0 + wide.model.b_e @ c
+    prob = replace(wide, e_min=(e0.min() + e.min()) / 2, e_max=(e0.max() + e.max()) / 2)
+    try:
+        got = solve_opf(prob, max_iter=2000)
+    except DispatchConvergenceError:
+        return  # a binding box can stall the splitting; the audit needs a dispatch
+    assert kkt_check(prob, got).passed
