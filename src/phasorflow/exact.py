@@ -24,12 +24,11 @@ Volt-var droops are clamps, piecewise linear in |V|, so they sit in the
 residual as a semismooth term: Newton uses the slope of each unit's active
 segment (Qi & Sun 1993), and one run settles voltages and volt-var together.
 
-The network enters through its ``CompiledFeeder``, which caches the Z
-columns, and loads arrive as per-class vectors, so a sweep over loads
-reuses one compile. Newton runs on a batch of load draws at once, each
-draw with its own step, line search and stopping point; a single solve is
-a batch of one, so a draw solved in a sweep is bit for bit the draw solved
-alone.
+The network enters through its ``CompiledFeeder``, which caches ``Z``, and
+loads arrive as per-class vectors, so a sweep over loads reuses one
+compile. Newton runs on a batch of load draws at once, each draw with its
+own step, line search and stopping point; a single solve is a batch of
+one, so a draw solved in a sweep is bit for bit the draw solved alone.
 """
 
 from __future__ import annotations
@@ -305,20 +304,8 @@ def solve_exact(
     injects. Raises ``NonConvergenceError`` when Newton fails.
     """
     cf = net.compiled
-    return solve_exact_compiled(cf, cf.load_arrays(net.loads), dispatch, tol, max_iter)
-
-
-def solve_exact_compiled(
-    cf: CompiledFeeder,
-    loads: LoadArrays,
-    dispatch: Mapping[Channel, complex] | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 50,
-) -> PhasorSolution:
-    """``solve_exact`` on a compiled feeder with the given loads: ``newton_batch``
-    on a batch of one draw."""
     dispatch = {k: complex(v) for k, v in (dispatch or {}).items()}
-    loads = loads.batch()
+    loads = cf.load_arrays(net.loads).batch()
     out = newton_batch(cf, loads, dispatch, tol, max_iter)
     if out.error[0] is not None:
         raise NonConvergenceError(out.error[0], out.history[0])

@@ -47,6 +47,9 @@ from .exact import PhasorSolution
 
 Channel = tuple[str, str]
 
+#: Largest ``A x - b`` entry a linear solve may leave.
+LINEAR_RESIDUAL_TOL = 1e-10
+
 
 def exact_mn(z: np.ndarray, v_recv: np.ndarray) -> MnPair:
     """Drop coefficients using true voltage ratios at the receiving node.
@@ -134,7 +137,6 @@ def _solution(cf: CompiledFeeder, loads: LoadArrays, x: np.ndarray,
 def solve_linear(
     net: Network,
     dispatch: Mapping[Channel, complex] | None = None,
-    residual_tol: float = 1e-10,
 ) -> LinearSolution:
     """Solve the linearized power flow with optional controllable dispatch.
 
@@ -142,7 +144,7 @@ def solve_linear(
     """
     cf = net.compiled
     loads = cf.load_arrays(net.loads)
-    x, res = linear_response(cf, loads.batch(), dispatch, residual_tol)
+    x, res = linear_response(cf, loads.batch(), dispatch)
     return _solution(cf, loads, x, dispatch, float(res[0]))
 
 
@@ -150,14 +152,13 @@ def linear_response(
     cf: CompiledFeeder,
     loads: LoadArrays,
     dispatch: Mapping[Channel, complex] | None = None,
-    residual_tol: float = 1e-10,
 ) -> tuple[np.ndarray, np.ndarray]:
     """States (draws, n_state) and residuals (draws,) for a batch of loads.
 
     Every product that forms a draw's state is a stacked matrix-vector
     product, and the E-coupled solve a stacked solve, so the state does not
     depend on the batch around it. Raises ``RuntimeError`` when any draw's
-    ``A x - b`` exceeds ``residual_tol``.
+    ``A x - b`` exceeds ``LINEAR_RESIDUAL_TOL``.
     """
     dispatch = {k: complex(v) for k, v in (dispatch or {}).items()}
     d, c = _draws(cf, loads, dispatch)
@@ -165,7 +166,7 @@ def linear_response(
     delta = np.zeros(d.shape, dtype=complex)
     delta[:, cf.free] = _nodal(cf, zb, coupled, True, d[:, zb.cls], c[:, zb.cls])
     x = _state(cf, delta)
-    return x, _audit(cf, x, d, c, residual_tol)
+    return x, _audit(cf, x, d, c, LINEAR_RESIDUAL_TOL)
 
 
 def control_response(cf: CompiledFeeder, loads: LoadArrays, channels: Sequence[Channel]
@@ -335,7 +336,7 @@ def angle_residual(net: Network, sol: PhasorSolution) -> float:
     orientation conventions.
     """
     worst = 0.0
-    for ln in net.index.real_lines:
+    for ln in net.compiled.index.real_lines:
         vm = np.array([sol.V[(ln.from_node, p)] for p in ln.phases])
         vn = np.array([sol.V[(ln.to_node, p)] for p in ln.phases])
         flow = sol.S_line[ln.name]

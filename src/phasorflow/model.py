@@ -21,8 +21,6 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 PHASES: tuple[str, ...] = ("a", "b", "c")
 PHASE_INDEX: dict[str, int] = {"a": 0, "b": 1, "c": 2}
@@ -334,10 +332,6 @@ class Network:
         return tuple(ln.name for ln in self.lines if ln.is_switch and not ln.closed)
 
     @cached_property
-    def index(self) -> "NetworkIndex":
-        return NetworkIndex(self)
-
-    @cached_property
     def compiled(self) -> "CompiledFeeder":
         return CompiledFeeder(self)
 
@@ -586,9 +580,9 @@ class CompiledFeeder:
     """Solver arrays of one network, built once and shared by every solve.
 
     Holds the class index arrays and flat start, the free-class block
-    ``Y_ff`` of the sparse nodal admittance and (on first use) its
-    factorisation and the Z-bus columns that both models solve on, the
-    stacked line admittances and end classes that give line currents, the
+    ``Y_ff`` of the nodal admittance as a dense matrix and (on first use)
+    the columns of its inverse ``Z`` that both models solve on, the stacked
+    line admittances and end classes that give line currents, the
     ideal-coupling recovery order, and (on first use) the phase rotations
     and rotated line arrays of the linear model. Loads are not compiled:
     every solve passes them as ``LoadArrays``, so a sweep that only changes
@@ -598,7 +592,7 @@ class CompiledFeeder:
     """
 
     def __init__(self, net: Network) -> None:
-        idx = net.index
+        idx = NetworkIndex(net)
         self.index = idx
         n = len(idx.classes)
         self.n_cls = n
@@ -626,9 +620,8 @@ class CompiledFeeder:
             live[l, :k] = True
         self.line_y, self.line_fcol, self.line_tcol, self.line_live = y, fcol, tcol, live
 
-        # Y_ff = G + jB: the free rows and columns of the sum over lines of
-        # [[y, -y], [-y, y]] on (from, to) classes, padding left out, held as
-        # the real [[G, -B], [B, G]] for SuperLU's real code.
+        # Y_ff: the free rows and columns of the sum over lines of
+        # [[y, -y], [-y, y]] on (from, to) classes, padding left out.
         ends = np.where(np.concatenate([live, live], axis=1),
                         self.free_pos[np.concatenate([fcol, tcol], axis=1)], -1)
         block = np.concatenate(
@@ -636,14 +629,9 @@ class CompiledFeeder:
         )
         row, col = np.repeat(ends, 6, axis=1).ravel(), np.tile(ends, (1, 6)).ravel()
         keep = (row >= 0) & (col >= 0)
-        row, col, val = row[keep], col[keep], block.ravel()[keep]
         nf = len(self.free)
-        self.y_ff = sp.csc_matrix(
-            (np.concatenate([val.real, -val.imag, val.imag, val.real]),
-             (np.concatenate([row, row, row + nf, row + nf]),
-              np.concatenate([col, col + nf, col, col + nf]))),
-            shape=(2 * nf, 2 * nf),
-        )
+        self.y_ff = np.zeros((nf, nf), dtype=complex)
+        np.add.at(self.y_ff, (row[keep], col[keep]), block.ravel()[keep])
 
         # Per real line phase (lines in order, phases in order): end classes.
         self.lp_from_cls = fcol[live]
@@ -684,36 +672,38 @@ class CompiledFeeder:
         coeffs = np.array([u.linear_coeffs() for u in units], dtype=float).reshape(-1, 2)
         self.vvc_k0, self.vvc_k1 = coeffs[:, 0].copy(), coeffs[:, 1].copy()
 
-        #: Z[free, k] per free class k, solved on first use.
-        self.z_columns: dict[int, np.ndarray] = {}
-
-    @cached_property
-    def y_lu(self) -> spla.SuperLU:
-        """The sparse factorisation of ``Y_ff``, in its real form."""
-        return spla.splu(self.y_ff)
+        own = [pos[(u.node, u.phase)] for u in (*net.loads, *net.der_units)]
+        own = self.free_pos[self.channel_class[np.array(own, dtype=int)]]
+        #: Free positions of the network's own loads and DER units.
+        self.z_own = own[own >= 0]
+        #: ``Z = Y_ff^-1``, of which only the ``z_solved`` columns are filled.
+        self.z_cols = np.zeros((nf, nf), dtype=complex)
+        self.z_solved = np.zeros(nf, dtype=bool)
 
     def zbus(self, channels: np.ndarray) -> ZBus:
         """Z-bus columns of the free classes that ``channels`` (loads and
         dispatch) and the volt-var units draw at.
 
-        Columns are cached per class and the missing ones solved in one
-        call; SuperLU solves each right-hand side on its own, so a column
-        does not depend on which others were solved with it.
+        Missing columns are solved in one ``np.linalg.solve`` of ``Y_ff``;
+        the first call also solves those of the network's own loads and DER
+        units, so that the dispatch QP and a dispatched solve find theirs
+        cached; on ieee37_dual these are 100 of 216 columns, which cost
+        less than the full inverse. The columns are copied C-ordered: a
+        plain fancy slice is F-ordered, and a matrix product over it may
+        then round differently for a batch than for a single draw.
         """
         cls = np.unique(self.channel_class[np.concatenate([channels, self.vvc_ch])])
         cls = cls[self.free_pos[cls] >= 0]
-        nf = len(self.free)
-        missing = [k for k in cls.tolist() if k not in self.z_columns]
-        if missing:
-            e = np.zeros((2 * nf, len(missing)))
-            e[self.free_pos[missing], np.arange(len(missing))] = 1.0
-            e = self.y_lu.solve(e)
-            for k, re, im in zip(missing, e[:nf].T, e[nf:].T):
-                self.z_columns[k] = re + 1j * im
-        z = np.zeros((nf, 0), dtype=complex)
-        if len(cls):
-            z = np.stack([self.z_columns[k] for k in cls.tolist()], axis=1)
-        return ZBus(cls=cls, z=z, z_ll=z[self.free_pos[cls]])
+        need = self.free_pos[cls]
+        miss = need[~self.z_solved[need]]
+        if len(miss):
+            if not self.z_solved.any():
+                miss = np.union1d(miss, self.z_own)
+            self.z_cols[:, miss] = np.linalg.solve(
+                self.y_ff, np.eye(len(self.free), dtype=complex)[:, miss])
+            self.z_solved[miss] = True
+        z = np.ascontiguousarray(self.z_cols[:, need])
+        return ZBus(cls=cls, z=z, z_ll=z[need])
 
     @cached_property
     def class_phase(self) -> np.ndarray:

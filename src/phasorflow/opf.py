@@ -16,7 +16,6 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.linalg as sla
 
 from .linear import LinearSolution, class_solution, control_response
 from .model import Network
@@ -24,6 +23,9 @@ from .model import Network
 Channel = tuple[str, str]
 
 WEIGHT_KEYS = ("magnitude", "angle", "effort")
+
+#: Over-relaxation of the splitting's constraint step (OSQP's default).
+OVER_RELAX = 1.6
 
 
 class InfeasibleError(RuntimeError):
@@ -58,7 +60,7 @@ class _ReducedModel:
     def __init__(self, net: Network, targets: Sequence[tuple[str, str]],
                  channels: Sequence[Channel]):
         cf = net.compiled
-        idx = net.index
+        idx = cf.index
         self.loads = cf.load_arrays(net.loads)
         self.x0, self.dx0, self.B = control_response(cf, self.loads, channels)
 
@@ -190,8 +192,9 @@ def build_opf(net: Network, targets: Sequence[tuple[str, str]],
         channels.append((der.node, der.phase))
         caps.append(der.capacity)
 
+    idx = net.compiled.index
     for ch in channels:
-        if net.index.class_of[ch] in net.index.slack_value:
+        if idx.class_of[ch] in idx.slack_value:
             raise ValueError(f"resource channel {ch} is tied to the slack")
     model = _ReducedModel(net, targets, channels)
     return OpfProblem(
@@ -223,18 +226,18 @@ def _project(z: np.ndarray, k: int, caps: np.ndarray,
 
 
 def solve_opf(prob: OpfProblem, penalty: float = 1.0, tol: float = 1e-9,
-              max_iter: int = 200_000, over_relax: float = 1.6) -> Dispatch:
+              max_iter: int = 200_000) -> Dispatch:
     """Minimize the weighted phasor-gap objective over capped controls.
 
-    Operator splitting on c = [u; v]: the smooth quadratic step solves a
-    Cholesky system, the constraint step projects channel pairs onto their
-    apparent-power disks and free-class E onto the voltage box. Every 10
-    iterations, a step in the multipliers that annihilates the controls
-    and has a negative support value certifies infeasibility (Banjac et
-    al., JOTA 2019), and the penalty, which ``penalty`` only starts, is
-    rebalanced against the scaled primal and dual residuals (Stellato et
-    al., "OSQP", 2020), refactoring the system when it moves by more than
-    5x.
+    Operator splitting on c = [u; v]: the smooth quadratic step applies
+    the inverse of its positive definite system, the constraint step
+    projects channel pairs onto their apparent-power disks and free-class
+    E onto the voltage box. Every 10 iterations, a step in the multipliers
+    that annihilates the controls and has a negative support value
+    certifies infeasibility (Banjac et al., JOTA 2019), and the penalty,
+    which ``penalty`` only starts, is rebalanced against the scaled primal
+    and dual residuals (Stellato et al., "OSQP", 2020), re-inverting the
+    system when it moves by more than 5x.
     Deterministic for fixed parameters.
     """
     mdl = prob.model
@@ -257,7 +260,7 @@ def solve_opf(prob: OpfProblem, penalty: float = 1.0, tol: float = 1e-9,
         return _finish(prob, c, np.zeros(len(m0)), stats, q, g, const)
 
     mtm = m_map.T @ m_map
-    chol = sla.cho_factor(q + penalty * mtm, check_finite=False)
+    k_inv = np.linalg.inv(q + penalty * mtm)
     c = np.zeros(2 * k)
     y = _project(m0, k, prob.caps, prob.e_min, prob.e_max)
     lam = np.zeros(len(m0))
@@ -265,9 +268,9 @@ def solve_opf(prob: OpfProblem, penalty: float = 1.0, tol: float = 1e-9,
 
     r_primal = r_dual = np.inf
     for it in range(1, max_iter + 1):
-        c = sla.cho_solve(chol, penalty * m_map.T @ (y - lam - m0) - g, check_finite=False)
+        c = k_inv @ (penalty * m_map.T @ (y - lam - m0) - g)
         mc = m_map @ c + m0
-        relaxed = over_relax * mc + (1.0 - over_relax) * y
+        relaxed = OVER_RELAX * mc + (1.0 - OVER_RELAX) * y
         y_prev = y
         y = _project(relaxed + lam, k, prob.caps, prob.e_min, prob.e_max)
         lam_prev = lam
@@ -288,7 +291,7 @@ def solve_opf(prob: OpfProblem, penalty: float = 1.0, tol: float = 1e-9,
             if new > 5.0 * penalty or new < penalty / 5.0:
                 lam *= penalty / new
                 penalty = new
-                chol = sla.cho_factor(q + penalty * mtm, check_finite=False)
+                k_inv = np.linalg.inv(q + penalty * mtm)
                 updates += 1
     else:
         best = {ch: complex(c[i], c[k + i])

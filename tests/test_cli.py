@@ -60,6 +60,21 @@ class TestHelpAndVersion:
         assert proc.returncode == 0
         assert proc.stdout.startswith("ok:")
 
+    def test_validate_imports_no_scipy(self, data_dir):
+        # scipy is a test dependency only; importing it would double start-up
+        code = ("import sys\n"
+                "from phasorflow.cli import main\n"
+                "rc = main(['validate', sys.argv[1]])\n"
+                "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+                "sys.exit(rc)\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(data_dir / "ieee37_dual.json")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("ok:")
+        assert proc.stdout.splitlines()[-1] == "[]"
+
 
 class TestExitCodes:
     def test_validate_ok(self, capsys, feeder13):

@@ -6,7 +6,6 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-import phasorflow.model as model
 from phasorflow.exact import solve_exact
 from phasorflow.linear import angle_residual, build_mn, linear_response, solve_linear
 from phasorflow.model import LineSpec, LoadSpec, Network, NodeSpec
@@ -78,7 +77,7 @@ class TestHandOracle:
 def forward_sweep(net):
     """Reference solve for a radial pure-PQ network: accumulate subtree
     demand per line, then walk drops from the slack outward. Independent of
-    the sparse assembly in the production model."""
+    the nodal assembly in the production model."""
     children = {}
     for ln in net.lines:
         if ln.is_ideal:
@@ -211,7 +210,7 @@ def linear_system(net, dispatch=None):
     incidence: two drop rows per real line phase, then per class either two
     balance rows or, for a slack-tied class, two pin rows. Independent of the
     Z-bus solve in the production model."""
-    idx = net.index
+    idx = net.compiled.index
     n_cls = len(idx.classes)
     n_flow = sum(len(ln.phases) for ln in idx.real_lines)
     n_state = 2 * n_cls + 2 * n_flow
@@ -310,23 +309,33 @@ class TestFactoredResponse:
             assert np.array_equal(x[row], one[0])
 
     def test_one_factorisation_per_compiled_feeder(self, dual13, monkeypatch):
-        calls = []
-        real = model.spla.splu
-        monkeypatch.setattr(model.spla, "splu", lambda a: calls.append(a.shape) or real(a))
         net = replace(dual13)
+        n_free = len(net.compiled.free)
+        calls = []
+
+        def record(name, real):
+            def wrapped(a, *args, **kwargs):
+                if np.shape(a)[-2:] == (n_free, n_free):
+                    calls.append((name, np.shape(a)))
+                return real(a, *args, **kwargs)
+            return wrapped
+
+        for name in ("inv", "solve"):
+            monkeypatch.setattr(np.linalg, name, record(name, getattr(np.linalg, name)))
         solve_exact(net)
         solve_linear(net)
         solve_linear(net, dispatch={(d.node, d.phase): 0.01 + 0.01j for d in net.der_units})
         build_opf(net, [("1680", "2680")], {"magnitude": 1.0, "angle": 1.0, "effort": 1.0})
-        # the real form of Y_ff, whose Z-bus columns both models read
-        n_free = len(net.compiled.free)
-        assert calls == [(2 * n_free, 2 * n_free)]
+        # one solve of Y_ff for the Z-bus columns that both models read
+        assert calls == [("solve", (n_free, n_free))]
 
     def test_residual_audit_catches_a_perturbed_response(self, ieee13):
         net = replace(ieee13)  # its own compile, so the cache below is private
         solve_linear(net)
-        cached = net.compiled.z_columns
-        assert cached
-        cached[next(iter(cached))][0] *= 1.0 + 1e-6
+        cf = net.compiled
+        loaded = cf.free_pos[cf.channel_class[cf.load_arrays(net.loads).channel[0]]]
+        assert loaded >= 0
+        assert cf.z_solved[loaded]
+        cf.z_cols[0, loaded] *= 1.0 + 1e-6
         with pytest.raises(RuntimeError, match="linear solve residual"):
             solve_linear(net)

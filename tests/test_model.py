@@ -125,7 +125,7 @@ class TestNetworkValidation:
 class TestIndex:
     def test_slack_channels_pinned(self):
         net = two_node()
-        idx = net.index
+        idx = net.compiled.index
         for phase, want in zip("abc", net.slack_voltage):
             cls = idx.class_of[("source", phase)]
             assert idx.slack_value[cls] == want
@@ -136,7 +136,7 @@ class TestIndex:
         lines = (LineSpec("source", "n1", "abc", Z3),
                  LineSpec("n1", "n2", "abc", np.zeros((3, 3)).tolist(), name="tie"))
         net = Network(nodes=nodes, lines=lines)
-        idx = net.index
+        idx = net.compiled.index
         for p in "abc":
             assert idx.class_of[("n1", p)] == idx.class_of[("n2", p)]
             assert idx.class_of[("n1", p)] != idx.class_of[("source", p)]
@@ -148,7 +148,7 @@ class TestIndex:
                  LineSpec("n1", "n2", "abc", Z3, name="sw", is_switch=True, closed=False))
         net = Network(nodes=nodes, lines=lines)
         assert net.open_switches == ("sw",)
-        idx = net.index
+        idx = net.compiled.index
         assert idx.class_of[("n1", "a")] != idx.class_of[("n2", "a")]
 
 

@@ -161,7 +161,7 @@ def test_jacobian_matches_central_difference(case, seed):
 def off_the_slack(net, dispatch):
     """``dispatch`` without the channels tied to the slack, where the linear
     model has no balance row to put a draw in."""
-    idx = net.index
+    idx = net.compiled.index
     return {ch: w for ch, w in dispatch.items() if idx.class_of[ch] not in idx.slack_value}
 
 
@@ -215,7 +215,7 @@ def test_linear_solution_passes_the_oracles(case):
 @given(feeders(), st.data())
 def test_dispatch_passes_kkt(case, data):
     net, _, _ = case
-    idx = net.index
+    idx = net.compiled.index
     free = [ch for ch in net.channels if idx.class_of[ch] not in idx.slack_value]
     if not free:
         return  # every channel is tied to the slack: nothing to dispatch
