@@ -581,7 +581,7 @@ class CompiledFeeder:
 
     Holds the class index arrays and flat start, the free-class block
     ``Y_ff`` of the nodal admittance as a dense matrix and (on first use)
-    the columns of its inverse ``Z`` that both models solve on, the stacked
+    its inverse ``Z`` that both models solve on, the stacked
     line admittances and end classes that give line currents, the
     ideal-coupling recovery order, and (on first use) the phase rotations
     and rotated line arrays of the linear model. Loads are not compiled:
@@ -672,37 +672,25 @@ class CompiledFeeder:
         coeffs = np.array([u.linear_coeffs() for u in units], dtype=float).reshape(-1, 2)
         self.vvc_k0, self.vvc_k1 = coeffs[:, 0].copy(), coeffs[:, 1].copy()
 
-        own = [pos[(u.node, u.phase)] for u in (*net.loads, *net.der_units)]
-        own = self.free_pos[self.channel_class[np.array(own, dtype=int)]]
-        #: Free positions of the network's own loads and DER units.
-        self.z_own = own[own >= 0]
-        #: ``Z = Y_ff^-1``, of which only the ``z_solved`` columns are filled.
-        self.z_cols = np.zeros((nf, nf), dtype=complex)
-        self.z_solved = np.zeros(nf, dtype=bool)
+    @cached_property
+    def z(self) -> np.ndarray:
+        """``Z = Y_ff^-1``, the one factorisation of ``Y_ff`` that the exact
+        model, the linear model and the dispatch QP all read."""
+        return np.linalg.inv(self.y_ff)
 
     def zbus(self, channels: np.ndarray) -> ZBus:
         """Z-bus columns of the free classes that ``channels`` (loads and
         dispatch) and the volt-var units draw at.
 
-        Missing columns are solved in one ``np.linalg.solve`` of ``Y_ff``;
-        the first call also solves those of the network's own loads and DER
-        units, so that the dispatch QP and a dispatched solve find theirs
-        cached; on ieee37_dual these are 100 of 216 columns, which cost
-        less than the full inverse. The columns are copied C-ordered: a
-        plain fancy slice is F-ordered, and a matrix product over it may
-        then round differently for a batch than for a single draw.
+        The columns are copied C-ordered: a plain fancy slice is F-ordered,
+        and a matrix product over it may then round differently for a batch
+        than for a single draw. Every column is taken from the one cached
+        ``Z``, so it does not depend on which other columns are asked for.
         """
         cls = np.unique(self.channel_class[np.concatenate([channels, self.vvc_ch])])
         cls = cls[self.free_pos[cls] >= 0]
         need = self.free_pos[cls]
-        miss = need[~self.z_solved[need]]
-        if len(miss):
-            if not self.z_solved.any():
-                miss = np.union1d(miss, self.z_own)
-            self.z_cols[:, miss] = np.linalg.solve(
-                self.y_ff, np.eye(len(self.free), dtype=complex)[:, miss])
-            self.z_solved[miss] = True
-        z = np.ascontiguousarray(self.z_cols[:, need])
+        z = np.ascontiguousarray(self.z[:, need])
         return ZBus(cls=cls, z=z, z_ll=z[need])
 
     @cached_property

@@ -325,9 +325,12 @@ class TestFactoredResponse:
         solve_exact(net)
         solve_linear(net)
         solve_linear(net, dispatch={(d.node, d.phase): 0.01 + 0.01j for d in net.der_units})
+        der = {(d.node, d.phase) for d in net.der_units}
+        bare = next((ld.node, ld.phase) for ld in net.loads if (ld.node, ld.phase) not in der)
+        solve_linear(net, dispatch={bare: 0.01 + 0.01j})  # a channel with no DER unit
         build_opf(net, [("1680", "2680")], {"magnitude": 1.0, "angle": 1.0, "effort": 1.0})
-        # one solve of Y_ff for the Z-bus columns that both models read
-        assert calls == [("solve", (n_free, n_free))]
+        # one inverse of Y_ff, whose Z-bus columns both models read
+        assert calls == [("inv", (n_free, n_free))]
 
     def test_residual_audit_catches_a_perturbed_response(self, ieee13):
         net = replace(ieee13)  # its own compile, so the cache below is private
@@ -335,7 +338,6 @@ class TestFactoredResponse:
         cf = net.compiled
         loaded = cf.free_pos[cf.channel_class[cf.load_arrays(net.loads).channel[0]]]
         assert loaded >= 0
-        assert cf.z_solved[loaded]
-        cf.z_cols[0, loaded] *= 1.0 + 1e-6
+        cf.z[0, loaded] *= 1.0 + 1e-6
         with pytest.raises(RuntimeError, match="linear solve residual"):
             solve_linear(net)
