@@ -95,15 +95,21 @@ def _substation_power(net: Network, s_line: np.ndarray) -> np.ndarray:
     return total
 
 
+def _mc_demand(rng: np.random.Generator, per_cell: int, n: int, dr: float,
+               di: float) -> np.ndarray:
+    """``per_cell`` rows of ``n`` demands, real parts uniform on [0, dr) and
+    reactive parts on [0, di), in one call: per row, n real then n reactive
+    doubles, the stream and values of ``rng.uniform(0, dr, n)`` then
+    ``rng.uniform(0, di, n)`` per row."""
+    u = rng.random((per_cell, 2, n))
+    return dr * u[:, 0] + 1j * (di * u[:, 1])
+
+
 def _mc_cell(payload) -> list[ErrorRecord]:
     net, channels, dr, di, i, j, per_cell, seed = payload
     rng = np.random.default_rng(np.random.SeedSequence([seed, i, j]))
     n = len(channels)
-    demand = np.empty((per_cell, n), dtype=complex)
-    for s_idx in range(per_cell):
-        re = rng.uniform(0.0, dr, n)
-        im = rng.uniform(0.0, di, n)
-        demand[s_idx] = re + 1j * im
+    demand = _mc_demand(rng, per_cell, n, dr, di)
     loads = LoadArrays(channels, demand, np.full(n, MC_BETA_S), np.full(n, MC_BETA_Z),
                        np.zeros(n))
     return _mc_records(net, loads, dr, di)

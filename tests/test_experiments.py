@@ -10,6 +10,7 @@ from phasorflow.experiments import (
     MC_BETA_S,
     MC_BETA_Z,
     ErrorRecord,
+    _mc_demand,
     _mc_records,
     error_metrics,
     monte_carlo,
@@ -48,6 +49,18 @@ class TestMonteCarlo:
         assert len(recs) == len(self.GRID) ** 2 * 3
         cells = {(r.dr, r.di) for r in recs}
         assert len(cells) == len(self.GRID) ** 2
+
+    def test_cell_draws_equal_a_per_draw_loop(self):
+        seed, i, j, per_cell, n, dr, di = 42, 3, 7, 100, 15, 0.075, 0.15
+        rng = np.random.default_rng(np.random.SeedSequence([seed, i, j]))
+        want = np.empty((per_cell, n), dtype=complex)
+        for s_idx in range(per_cell):
+            re = rng.uniform(0.0, dr, n)
+            im = rng.uniform(0.0, di, n)
+            want[s_idx] = re + 1j * im
+        rng = np.random.default_rng(np.random.SeedSequence([seed, i, j]))
+        got = _mc_demand(rng, per_cell, n, dr, di)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_zero_cell_has_zero_error(self, ieee13):
         recs = monte_carlo(ieee13, [0.0], scenarios_per_cell=2, seed=1)

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from phasorflow.exact import solve_exact
+from phasorflow.experiments import run_sequential_switching
 from phasorflow.linear import angle_residual, build_mn, linear_response, solve_linear
 from phasorflow.model import LineSpec, LoadSpec, Network, NodeSpec
 from phasorflow.opf import build_opf
@@ -279,6 +280,24 @@ def linear_system(net, dispatch=None):
     return sp.csc_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(r, r))), b
 
 
+def square_linalg_calls(monkeypatch, sizes):
+    """Record each ``np.linalg.inv`` or ``solve`` of an n x n matrix with n in
+    ``sizes``, as (name, shape)."""
+    calls = []
+
+    def record(name, real):
+        def wrapped(a, *args, **kwargs):
+            rows, cols = np.shape(a)[-2:]
+            if rows == cols and rows in sizes:
+                calls.append((name, (rows, cols)))
+            return real(a, *args, **kwargs)
+        return wrapped
+
+    for name in ("inv", "solve"):
+        monkeypatch.setattr(np.linalg, name, record(name, getattr(np.linalg, name)))
+    return calls
+
+
 class TestFactoredResponse:
     """The Z-bus solve of the linear model against a direct sparse solve of
     the system the test writes itself."""
@@ -311,26 +330,34 @@ class TestFactoredResponse:
     def test_one_factorisation_per_compiled_feeder(self, dual13, monkeypatch):
         net = replace(dual13)
         n_free = len(net.compiled.free)
-        calls = []
+        assert n_free == 58
+        calls = square_linalg_calls(monkeypatch, {n_free, n_free // 2})
 
-        def record(name, real):
-            def wrapped(a, *args, **kwargs):
-                if np.shape(a)[-2:] == (n_free, n_free):
-                    calls.append((name, np.shape(a)))
-                return real(a, *args, **kwargs)
-            return wrapped
+        def solves(net):
+            solve_exact(net)
+            solve_linear(net)
+            solve_linear(net, dispatch={(d.node, d.phase): 0.01 + 0.01j for d in net.der_units})
+            der = {(d.node, d.phase) for d in net.der_units}
+            bare = next((ld.node, ld.phase) for ld in net.loads if (ld.node, ld.phase) not in der)
+            solve_linear(net, dispatch={bare: 0.01 + 0.01j})  # a channel with no DER unit
+            build_opf(net, [("1680", "2680")], {"magnitude": 1.0, "angle": 1.0, "effort": 1.0})
 
-        for name in ("inv", "solve"):
-            monkeypatch.setattr(np.linalg, name, record(name, getattr(np.linalg, name)))
-        solve_exact(net)
-        solve_linear(net)
-        solve_linear(net, dispatch={(d.node, d.phase): 0.01 + 0.01j for d in net.der_units})
-        der = {(d.node, d.phase) for d in net.der_units}
-        bare = next((ld.node, ld.phase) for ld in net.loads if (ld.node, ld.phase) not in der)
-        solve_linear(net, dispatch={bare: 0.01 + 0.01j})  # a channel with no DER unit
-        build_opf(net, [("1680", "2680")], {"magnitude": 1.0, "angle": 1.0, "effort": 1.0})
-        # one inverse of Y_ff, whose Z-bus columns both models read
-        assert calls == [("inv", (n_free, n_free))]
+        solves(net)
+        # The two open feeders meet only at the slack, so Y_ff is two blocks:
+        # one inverse per block, whose Z-bus columns both models read.
+        assert calls == [("inv", (n_free // 2, n_free // 2))] * 2
+        calls.clear()
+        solves(net.close_switch("tie-1680-2680"))
+        # The closed copy's Z is the open one's updated by the tie's rank.
+        assert calls == []
+
+    def test_sequential_closures_invert_no_full_y_ff(self, spec37, monkeypatch):
+        n_free = 216
+        calls = square_linalg_calls(monkeypatch, {n_free, n_free // 2})
+        reports = run_sequential_switching(spec37)
+        assert len(reports) == 2
+        # two blocks of the open network, then two rank-3 updates
+        assert calls == [("inv", (n_free // 2, n_free // 2))] * 2
 
     def test_residual_audit_catches_a_perturbed_response(self, ieee13):
         net = replace(ieee13)  # its own compile, so the cache below is private

@@ -36,11 +36,17 @@ def small(lo, hi):
     return st.floats(min_value=lo, max_value=hi, allow_nan=False)
 
 
+def tie_configs(phases_a, phases_b):
+    return [c for _, c in CONFIGS if set(c.phases) <= set(phases_a) & set(phases_b)]
+
+
 @st.composite
-def feeders(draw):
+def feeders(draw, open_tie=False):
     """(network, dispatch, radial): a tree of 3-15 nodes below an ideal head
     coupling, some segments ideal too, lines pointing away from the slack,
-    and maybe a closed tie.
+    and maybe a closed tie. With ``open_tie`` there is always a tie, open,
+    and one of its ends may be tied to the slack: ``n0``, behind the ideal
+    head, or a node behind ideal segments only.
 
     Loads (at most 0.06 + 0.03j per channel) sag the deepest tree the
     strategy can draw, a 14-segment single-phase chain, by about 0.26 p.u.,
@@ -60,10 +66,16 @@ def feeders(draw):
         lines.append(LineSpec(parent, f"n{k}", cfg.phases, z.tolist(), name=f"l{k}"))
 
     nodes = sorted(phases)
-    if draw(st.booleans()):
+    if open_tie:
+        a, b = draw(st.sampled_from([(a, b) for a in nodes for b in nodes
+                                     if a < b and tie_configs(phases[a], phases[b])]))
+        cfg = draw(st.sampled_from(tie_configs(phases[a], phases[b])))
+        z = cfg.z_pu(draw(small(50.0, 2000.0)), BASE.z_base_ohm)
+        lines.append(LineSpec(a, b, cfg.phases, z.tolist(), name="tie", is_switch=True,
+                              closed=False))
+    elif draw(st.booleans()):
         a, b = draw(st.lists(st.sampled_from(nodes[1:]), min_size=2, max_size=2, unique=True))
-        shared = set(phases[a]) & set(phases[b])
-        ties = [c for _, c in CONFIGS if set(c.phases) <= shared]
+        ties = tie_configs(phases[a], phases[b])
         if ties:
             cfg = draw(st.sampled_from(ties))
             z = cfg.z_pu(draw(small(50.0, 2000.0)), BASE.z_base_ohm)
@@ -93,7 +105,7 @@ def feeders(draw):
                   lines=tuple(lines), loads=tuple(loads),
                   der_units=tuple(DerSpec(n, p, 0.05) for n, p in ders),
                   vvc_units=tuple(vvc), line_configs=BASE.line_configs)
-    return net, dispatch, lines[-1].name != "tie"
+    return net, dispatch, lines[-1].name != "tie" or open_tie
 
 
 def with_dispatch_as_loads(net, dispatch):
@@ -236,3 +248,21 @@ def test_dispatch_passes_kkt(case, data):
     except DispatchConvergenceError:
         return  # a binding box can stall the splitting; the audit needs a dispatch
     assert kkt_check(prob, got).passed
+
+
+@BATTERY
+@given(feeders(open_tie=True))
+def test_closing_the_tie_matches_a_network_built_closed(case):
+    net, dispatch, _ = case
+    closed = net.close_switch("tie")  # Z from the open network's, by the tie's rank
+    built = replace(net, lines=tuple(replace(ln, closed=True) for ln in net.lines))
+    z, want = closed.compiled.z, built.compiled.z
+    assert np.max(np.abs(z - want), initial=0.0) <= 1e-12 * np.max(np.abs(want), initial=0.0)
+    got, ref = solve_exact(closed, dispatch=dispatch), solve_exact(built, dispatch=dispatch)
+    assert max(abs(got.V[ch] - ref.V[ch]) for ch in net.channels) <= 1e-10
+    dispatch = off_the_slack(net, dispatch)
+    got, ref = solve_linear(closed, dispatch=dispatch), solve_linear(built, dispatch=dispatch)
+    assert max(max(abs(got.E[ch] - ref.E[ch]), abs(got.theta[ch] - ref.theta[ch]))
+               for ch in net.channels) <= 1e-12
+    assert max(np.max(np.abs(got.P[n] - ref.P[n]) + np.abs(got.Q[n] - ref.Q[n]))
+               for n in got.P) <= 1e-12
