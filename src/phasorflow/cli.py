@@ -77,13 +77,14 @@ def _wants_csv(output: str | None) -> bool:
 
 
 def _load_network(path: str) -> Network:
-    """Read either a bare feeder document or a two-feeder scenario."""
+    """Read either a bare feeder document or a two-feeder scenario, parsing
+    the file once."""
     with open(path) as handle:
         doc = json.load(handle)
     if isinstance(doc, Mapping) and "feeders" in doc:
         doc["_dir"] = str(Path(path).resolve().parent)
         return build_scenario_network(doc)
-    return load_feeder(path)
+    return load_feeder(path, doc)
 
 
 def _load_dispatch(path: str | None) -> dict[tuple[str, str], complex] | None:
@@ -225,6 +226,10 @@ def linearize(network_file: str, output: str | None, dispatch_file: str | None,
     """Solve the linearized power flow and report its state."""
     net = _load_network(network_file)
     sol = solve_linear(net, dispatch=_load_dispatch(dispatch_file))
+    low = min(sol.E, key=sol.E.__getitem__)
+    if sol.E[low] < 0.0:
+        raise ValueError(f"the linear model gives {low[0]}.{low[1]} a negative squared "
+                         f"magnitude {sol.E[low]:.6g}: no voltage magnitude exists there")
     if _wants_csv(output):
         angle_col = "angle_rad" if radians else "angle_deg"
         fields = ["node", "phase", "e_pu2", "mag_pu", angle_col, "line", "p_pu", "q_pu"]

@@ -3,16 +3,19 @@
 The on-disk format is JSON. Complex numbers are ``[re, im]`` pairs, line
 lengths are feet, config impedances are ohms per mile, and loads are already
 per-unit. Keys starting with ``comment`` are ignored everywhere, so documents
-can carry provenance notes.
+can carry provenance notes: every entry is read by key, so such keys are never
+looked at, and the one mapping whose keys are names, ``line_configs``, skips
+them. The document is read in one pass over the parsed JSON, with no copy.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -33,9 +36,16 @@ from .model import (
 
 def _num(v: Any, context: str) -> float:
     """A finite real number from a document field."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-        raise NetworkError(f"{context}: expected a finite number, got {v!r}")
-    return float(v)
+    if type(v) is float and math.isfinite(v):
+        return v
+    if not isinstance(v, bool) and isinstance(v, (int, float)):
+        try:
+            x = float(v)
+        except OverflowError:  # an integer beyond the range of a float
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise NetworkError(f"{context}: expected a finite number, got {v!r}")
 
 
 def _length(v: Any, context: str) -> float:
@@ -46,9 +56,13 @@ def _length(v: Any, context: str) -> float:
 
 
 def _cx(v: Any, context: str) -> complex:
+    if type(v) is list and len(v) == 2:
+        re, im = v
+        if type(re) is float and type(im) is float and math.isfinite(re) and math.isfinite(im):
+            return complex(re, im)
     if isinstance(v, (int, float)):
         return complex(_num(v, context))
-    if isinstance(v, Sequence) and len(v) == 2:
+    if isinstance(v, (list, tuple)) and len(v) == 2:
         return complex(_num(v[0], context), _num(v[1], context))
     raise NetworkError(f"{context}: expected a number or [re, im] pair, got {v!r}")
 
@@ -70,21 +84,13 @@ def _entries(doc: Mapping[str, Any], key: str, kind: type = list) -> Any:
 
 
 def _cx_matrix(rows: Any, context: str) -> list[list[complex]]:
-    if not isinstance(rows, Sequence):
+    if not isinstance(rows, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rows):
         raise NetworkError(f"{context}: expected a matrix")
     return [[_cx(v, context) for v in row] for row in rows]
 
 
 def _cx_out(v: complex) -> list[float]:
     return [float(v.real), float(v.imag)]
-
-
-def _strip_comments(obj: Any) -> Any:
-    if isinstance(obj, dict):
-        return {k: _strip_comments(v) for k, v in obj.items() if not k.startswith("comment")}
-    if isinstance(obj, list):
-        return [_strip_comments(v) for v in obj]
-    return obj
 
 
 def network_from_dict(doc: Mapping[str, Any]) -> Network:
@@ -95,7 +101,6 @@ def network_from_dict(doc: Mapping[str, Any]) -> Network:
     """
     if not isinstance(doc, Mapping):
         raise NetworkError("a feeder document must be a JSON object")
-    doc = _strip_comments(dict(doc))
 
     bases = _entries(doc, "bases", dict)
     s_base = _num(bases.get("s_base_va", 1.0e6), "s_base_va")
@@ -118,6 +123,8 @@ def network_from_dict(doc: Mapping[str, Any]) -> Network:
 
     configs: dict[str, LineConfig] = {}
     for name, cfg in _entries(doc, "line_configs", dict).items():
+        if name.startswith("comment"):
+            continue
         if name == IDEAL_CONFIG:
             raise NetworkError(f"config name {IDEAL_CONFIG!r} is reserved")
         phases = _phases(cfg["phases"], f"config {name}")
@@ -269,9 +276,14 @@ def network_to_dict(net: Network) -> dict[str, Any]:
     return doc
 
 
-def load_feeder(path: str | Path) -> Network:
-    with open(path, "r", encoding="utf-8") as fh:
-        return network_from_dict(json.load(fh))
+def load_feeder(path: str | Path, doc: Any = None) -> Network:
+    """The network of the feeder document at ``path``. ``doc`` is the
+    file's parsed content when the caller has read it already, so that the
+    file is parsed once."""
+    if doc is None:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    return network_from_dict(doc)
 
 
 def dump_feeder(net: Network, path: str | Path) -> None:
@@ -305,8 +317,11 @@ def apply_modifications(net: Network, mods: Sequence[Mapping[str, Any]]) -> Netw
     - ``{"op": "add_switch", "from": n1, "to": n2, "config": cfg,
       "length_ft": L, "closed": bool, "name": ...}``: add a switch line.
     """
+    if not isinstance(mods, (list, tuple)):
+        raise NetworkError(f"a modification script must be a list of steps, got {mods!r}")
     for mod in mods:
-        mod = _strip_comments(dict(mod))
+        if not isinstance(mod, Mapping):
+            raise NetworkError(f"modification step {mod!r} is not an object")
         op = mod.get("op")
         if op == "remove_regulator":
             net = _remove_regulator(net, str(mod["line"]))
@@ -504,4 +519,4 @@ def merge_with_switch(
         line_configs=configs,
         name=f"{net1.name}+{net2.name}",
     )
-    return _add_switch(merged, _strip_comments(dict(switch)))
+    return _add_switch(merged, switch)

@@ -303,8 +303,10 @@ def _audit(cf: CompiledFeeder, x: np.ndarray, d: np.ndarray, c: np.ndarray,
     drop coefficients and the flow incidence alone, so an error in the
     Z-bus solve or the rotation shows here.
 
-    Raises ``RuntimeError`` when a draw exceeds ``residual_tol``. The pin
-    rows of the slack classes hold by construction.
+    Raises ``RuntimeError`` when a draw exceeds ``residual_tol`` times
+    ``max(1, max |d|, max |c|)``, a backward-error bound: a draw of 1e6
+    p.u. is solved as well as a draw of 1 when its residual is 1e6 times
+    larger. The pin rows of the slack classes hold by construction.
     """
     n, nf = cf.n_cls, cf.n_flow
     e, theta = x[:, :n], x[:, n : 2 * n]
@@ -321,9 +323,11 @@ def _audit(cf: CompiledFeeder, x: np.ndarray, d: np.ndarray, c: np.ndarray,
     bal = (inflow - d - c * e)[:, cf.free]
     res = np.max(np.abs(np.concatenate([drop_e, drop_t, bal.real, bal.imag], axis=-1)),
                  axis=-1, initial=0.0)
-    worst = float(np.max(res, initial=0.0))
-    if worst > residual_tol:
-        raise RuntimeError(f"linear solve residual {worst:.3e} exceeds {residual_tol:.1e}")
+    bound = residual_tol * np.maximum(
+        1.0, np.max(np.abs(np.concatenate([d, c], axis=-1)), axis=-1, initial=0.0))
+    if np.any(over := res > bound):
+        i = int(np.argmax(over))  # the first draw over its bound
+        raise RuntimeError(f"linear solve residual {res[i]:.3e} exceeds {bound[i]:.1e}")
     return res
 
 

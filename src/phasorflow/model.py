@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -48,22 +48,46 @@ def canonical_phases(phases: Iterable[str]) -> tuple[str, ...]:
     Accepts any iterable of single-character phase names, including a plain
     string like ``"ca"``. Duplicates and unknown phases are rejected.
     """
-    items = list(phases)
+    return _canonical(tuple(phases))
+
+
+@cache
+def _canonical(items: tuple) -> tuple[str, ...]:
+    # Memoized on the input order; only valid phase sets are cached (an
+    # exception is not), so at most 15 entries.
     if not items:
         raise NetworkError("phase set must be nonempty")
     for p in items:
         if p not in PHASE_INDEX:
             raise NetworkError(f"unknown phase {p!r}")
     if len(set(items)) != len(items):
-        raise NetworkError(f"duplicate phase in {items!r}")
+        raise NetworkError(f"duplicate phase in {list(items)!r}")
     return tuple(sorted(items, key=PHASE_INDEX.__getitem__))
 
 
 def _as_complex_matrix(z, n: int, context: str) -> tuple[tuple[complex, ...], ...]:
+    """``z`` as an n x n tuple of complex rows. Rows that already hold
+    Python complex numbers, as the document reader builds them, are taken
+    as they are; anything else goes through numpy."""
+    if (type(z) in (list, tuple) and len(z) == n
+            and all(type(row) in (list, tuple) and len(row) == n
+                    and all(type(v) is complex for v in row) for row in z)):
+        return tuple(map(tuple, z))
     arr = np.asarray(z, dtype=complex)
     if arr.shape != (n, n):
         raise NetworkError(f"{context}: impedance must be {n}x{n}, got {arr.shape}")
     return tuple(tuple(complex(v) for v in row) for row in arr)
+
+
+def _det(z: tuple[tuple[complex, ...], ...]) -> complex:
+    """Determinant of a 1x1, 2x2 or 3x3 matrix (a line spans at most three
+    phases), by cofactors."""
+    if len(z) == 1:
+        return z[0][0]
+    if len(z) == 2:
+        return z[0][0] * z[1][1] - z[0][1] * z[1][0]
+    (a, b, c), (d, e, f), (g, h, i) = z
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 @dataclass(frozen=True)
@@ -103,7 +127,7 @@ class LineSpec:
             object.__setattr__(self, "name", f"{self.from_node}-{self.to_node}")
         if self.from_node == self.to_node:
             raise NetworkError(f"line {self.name}: endpoints coincide")
-        if not self.is_ideal and abs(np.linalg.det(self.z)) < 1e-30:
+        if not self.is_ideal and abs(_det(self.z_pu)) < 1e-30:
             raise NetworkError(f"line {self.name}: impedance matrix is singular")
 
     @property
@@ -704,13 +728,21 @@ class CompiledFeeder:
         if opened is not None:
             net, switch = opened
             return self._closed_z(net.compiled.z, switch)
-        blocks = self._components()
-        if len(blocks) == 1:
+        if self._single_component() or len(blocks := self._components()) == 1:
             return np.linalg.inv(self.y_ff)
         z = np.zeros_like(self.y_ff)
         for b in blocks:
             z[np.ix_(b, b)] = np.linalg.inv(self.y_ff[np.ix_(b, b)])
         return z
+
+    def _single_component(self) -> bool:
+        """Whether ``Y_ff`` is one component, seen in O(lines) when a single
+        real line touches the slack-tied classes: every free class reaches
+        the slack (``Network`` validates that), so every component holds a
+        free end of that line, and a line couples all of its free ends.
+        False means only "not seen"; ``_components`` then labels them."""
+        slack_end = np.concatenate([self.line_live, self.line_live], axis=1) & (self.line_ends < 0)
+        return len(self.free) > 0 and np.count_nonzero(slack_end.any(axis=1)) == 1
 
     def _components(self) -> list[np.ndarray]:
         """Free positions of each connected component of ``Y_ff``, read off

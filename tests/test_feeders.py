@@ -1,3 +1,4 @@
+import copy
 import importlib.util
 import json
 from pathlib import Path
@@ -15,6 +16,7 @@ from phasorflow.feeders import (
     relabel_nodes,
     scale_loads,
 )
+from phasorflow.experiments import build_scenario_network, load_scenario
 from phasorflow.model import NetworkError
 
 
@@ -41,6 +43,53 @@ class TestRoundTrip:
         assert "comment" in raw13_doc
         net = network_from_dict(raw13_doc)
         assert len(net.nodes) > 10
+
+    def test_comment_keys_are_ignored_at_every_level(self, raw13_doc):
+        plain = without_comments(raw13_doc)
+        plain["der"] = [{"node": "675", "phase": "a", "capacity": 0.05}]
+        plain["vvc"] = [{"node": "671", "phase": "b", "q_min": -0.01, "q_max": 0.01,
+                         "v_min": 0.95, "v_max": 1.05}]
+        noted = copy.deepcopy(plain)
+        note = {"comment": "a note", "comment_source": {"nested": [1, {"x": None}]}}
+        for section in ("bases", "slack"):
+            noted[section].update(note)
+        for section in ("nodes", "lines", "loads", "caps", "der", "vvc"):
+            for entry in noted[section]:
+                entry.update(note)
+        for cfg in noted["line_configs"].values():
+            cfg.update(note)
+        noted["line_configs"]["comment_601"] = {"phases": 5}  # not a config
+        noted.update(note)
+        net = network_from_dict(noted)
+        assert net == network_from_dict(plain)
+        assert sorted(net.line_configs) == sorted(plain["line_configs"])
+
+        mod = {"op": "add_spot_load", "node": "675", "phase": "b", "demand": [0.01, 0.0]}
+        assert (apply_modifications(net, [dict(mod, **note)])
+                == apply_modifications(net, [mod]))
+        switch = {"from": "675", "to": "652", "config": "607", "length_ft": 100.0}
+        other = relabel_nodes(net, "2", keep=("source",))
+        assert (merge_with_switch(net, other, dict(switch, **note))
+                == merge_with_switch(net, other, switch))
+
+    @pytest.mark.parametrize("name", ["ieee13.json", "ieee37.json", "ieee13_raw.json",
+                                      "ieee37_raw.json", "ieee13_dual.json",
+                                      "ieee37_dual.json"])
+    def test_dict_round_trip_is_identity_on_shipped_documents(self, data_dir, name):
+        if "dual" in name:
+            net = build_scenario_network(load_scenario(data_dir / name))
+        else:
+            net = load_feeder(data_dir / name)
+        assert network_from_dict(network_to_dict(net)) == net
+
+
+def without_comments(obj):
+    """A copy of a parsed document with every ``comment*`` key dropped."""
+    if isinstance(obj, dict):
+        return {k: without_comments(v) for k, v in obj.items() if not k.startswith("comment")}
+    if isinstance(obj, list):
+        return [without_comments(v) for v in obj]
+    return obj
 
 
 class TestShippedData:

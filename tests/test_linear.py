@@ -368,3 +368,18 @@ class TestFactoredResponse:
         cf.z[0, loaded] *= 1.0 + 1e-6
         with pytest.raises(RuntimeError, match="linear solve residual"):
             solve_linear(net)
+
+    def test_residual_audit_bound_scales_with_the_draw(self, ieee13):
+        # A 1e6 p.u. load: the solve is accurate to about 1e-12 relative to
+        # the draw, which an absolute 1e-10 bound would reject. The bound is
+        # a backward error, so the solve passes and the same perturbation as
+        # above is still caught at this scale.
+        loads = (replace(ieee13.loads[0], demand=1e6),) + ieee13.loads[1:]
+        net = replace(ieee13, loads=loads)
+        sol = solve_linear(net)
+        assert 1e-10 < sol.residual_norm <= 1e-10 * 1e6
+        cf = net.compiled
+        loaded = cf.free_pos[cf.channel_class[cf.load_arrays(net.loads).channel[0]]]
+        cf.z[0, loaded] *= 1.0 + 1e-6
+        with pytest.raises(RuntimeError, match="linear solve residual"):
+            solve_linear(net)

@@ -13,6 +13,7 @@ from phasorflow.model import (
     NetworkError,
     NodeSpec,
     VvcSpec,
+    _det,
     canonical_phases,
     wrap_angle,
 )
@@ -41,6 +42,44 @@ class TestPhases:
             canonical_phases("ax")
         with pytest.raises(NetworkError):
             canonical_phases("aa")
+
+
+    def test_rejections_are_not_cached(self):
+        for _ in range(2):
+            with pytest.raises(NetworkError, match="unknown phase 'x'"):
+                canonical_phases(["a", "x"])
+        assert canonical_phases(("c", "a")) == canonical_phases("ca") == ("a", "c")
+
+
+class TestLineImpedance:
+    """Direct construction validates whatever form ``z_pu`` comes in, and
+    every form gives the same tuples of Python complex numbers."""
+
+    def test_every_form_gives_the_same_line(self):
+        z = np.array([[0.1 + 0.3j, 0.05 + 0.1j], [0.05 + 0.1j, 0.12 + 0.31j]])
+        lines = [LineSpec("x", "y", "ab", form)
+                 for form in (z, z.tolist(), tuple(map(tuple, z.tolist())))]
+        assert all(ln == lines[0] and hash(ln) == hash(lines[0]) for ln in lines)
+        assert all(type(v) is complex for row in lines[0].z_pu for v in row)
+        assert isinstance(lines[0].z_pu, tuple) and isinstance(lines[0].z_pu[0], tuple)
+
+    def test_wrong_shape_and_singular_rejected(self):
+        with pytest.raises(NetworkError, match="impedance must be 2x2, got \\(3, 3\\)"):
+            LineSpec("x", "y", "ab", Z3)
+        with pytest.raises(NetworkError, match="impedance must be 1x1, got \\(2,\\)"):
+            LineSpec("x", "y", "a", [0.1 + 0.2j, 0.1j])
+        with pytest.raises(NetworkError, match="singular"):
+            LineSpec("x", "y", "abc", [[0.02 + 0.06j] * 3] * 3)
+        with pytest.raises(NetworkError, match="singular"):
+            LineSpec("x", "y", "ab", [[1e-16 + 0j, 0j], [0j, 1e-15 + 0j]])
+        assert not LineSpec("x", "y", "ab", [[1e-14 + 0j, 0j], [0j, 1e-15 + 0j]]).is_ideal
+
+    @given(st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_closed_form_determinant_matches_lu(self, k, seed):
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+        got = _det(tuple(map(tuple, z.tolist())))
+        assert abs(got - np.linalg.det(z)) <= 1e-12 * max(1.0, float(np.max(np.abs(z))) ** k)
 
 
 class TestSpecs:
@@ -150,6 +189,18 @@ class TestIndex:
         assert net.open_switches == ("sw",)
         idx = net.compiled.index
         assert idx.class_of[("n1", "a")] != idx.class_of[("n2", "a")]
+
+
+class TestComponents:
+    def test_single_feeders_are_seen_connected_without_labelling(self, ieee13, ieee37):
+        for net in (ieee13, ieee37):
+            assert net.compiled._single_component()
+            assert len(net.compiled._components()) == 1
+
+    def test_open_dual_feeders_are_labelled(self, dual13, dual37):
+        for net in (dual13, dual37):
+            assert not net.compiled._single_component()
+            assert len(net.compiled._components()) == 2
 
 
 class TestSwitching:

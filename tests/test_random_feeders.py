@@ -18,6 +18,7 @@ from conftest import DATA
 from phasorflow import load_feeder
 from phasorflow.exact import (_injections, evaluate, jacobian, kcl_residual, newton_batch,
                               solve_exact)
+from phasorflow.feeders import network_from_dict, network_to_dict
 from phasorflow.linear import angle_residual, linear_response, solve_linear
 from phasorflow.model import DerSpec, LineSpec, LoadSpec, Network, NodeSpec, VvcSpec
 from phasorflow.opf import DispatchConvergenceError, build_opf, kkt_check, solve_opf
@@ -266,3 +267,13 @@ def test_closing_the_tie_matches_a_network_built_closed(case):
                for ch in net.channels) <= 1e-12
     assert max(np.max(np.abs(got.P[n] - ref.P[n]) + np.abs(got.Q[n] - ref.Q[n]))
                for n in got.P) <= 1e-12
+
+
+@BATTERY
+@given(st.one_of(feeders(), feeders(open_tie=True)))
+def test_reader_round_trip_and_component_precheck(case):
+    net, _, _ = case
+    assert network_from_dict(network_to_dict(net)) == net
+    # the O(lines) test sees one component only where the labelling does
+    cf = net.compiled
+    assert not cf._single_component() or len(cf._components()) == 1
