@@ -189,8 +189,7 @@ def newton_batch(cf: CompiledFeeder, loads: LoadArrays,
     dispatch = {k: complex(w) for k, w in (dispatch or {}).items()}
     loads = loads.batch()
     inj = np.array(_injections(cf, loads, dispatch))  # (3, draws, n_cls)
-    zb = cf.zbus(np.concatenate([loads.channel, np.array(
-        [cf.channel_pos[ch] for ch in dispatch], dtype=int)]))
+    zb = cf.zbus(np.concatenate([loads.channel, cf.dispatch_index(dispatch)]))
     n_draws = inj.shape[1]
     nl = len(zb.cls)
     chunk = max(1, JACOBIAN_STACK_BYTES // (8 * (2 * nl) ** 2)) if nl else 1
@@ -284,10 +283,8 @@ def _injections(cf: CompiledFeeder, loads: LoadArrays,
                 dispatch: dict[Channel, complex]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-class (s_const, s_zmag, s_fixed) of a load batch, dispatch in s_fixed."""
     s_const, s_zmag, s_fixed = cf.class_loads(loads)
-    for ch, w in dispatch.items():
-        if ch not in cf.channel_pos:
-            raise KeyError(f"dispatch channel {ch} not in network")
-        s_fixed[..., cf.channel_class[cf.channel_pos[ch]]] += w
+    for k, w in zip(cf.channel_class[cf.dispatch_index(dispatch)].tolist(), dispatch.values()):
+        s_fixed[..., k] += w
     return s_const, s_zmag, s_fixed
 
 

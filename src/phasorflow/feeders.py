@@ -6,6 +6,8 @@ per-unit. Keys starting with ``comment`` are ignored everywhere, so documents
 can carry provenance notes: every entry is read by key, so such keys are never
 looked at, and the one mapping whose keys are names, ``line_configs``, skips
 them. The document is read in one pass over the parsed JSON, with no copy.
+A ``caps`` entry merges into the first load at its channel (or becomes a
+load of its own); a load entry may also carry its own capacitor as ``q_pu``.
 """
 
 from __future__ import annotations
@@ -86,6 +88,9 @@ def _entries(doc: Mapping[str, Any], key: str, kind: type = list) -> Any:
 def _cx_matrix(rows: Any, context: str) -> list[list[complex]]:
     if not isinstance(rows, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rows):
         raise NetworkError(f"{context}: expected a matrix")
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise NetworkError(f"{context}: expected a matrix, got rows of lengths "
+                           f"{[len(row) for row in rows]}")
     return [[_cx(v, context) for v in row] for row in rows]
 
 
@@ -174,7 +179,7 @@ def network_from_dict(doc: Mapping[str, Any]) -> Network:
                 demand=complex(_num(entry["re"], where), _num(entry["im"], where)),
                 beta_s=_num(entry.get("beta_S", 1.0), where),
                 beta_z=_num(entry.get("beta_Z", 0.0), where),
-                cap=0.0,
+                cap=_num(entry.get("q_pu", 0.0), where),
             )
         )
     # Capacitor banks merge into the co-located load channel when one exists.
@@ -218,7 +223,17 @@ def network_from_dict(doc: Mapping[str, Any]) -> Network:
 
 
 def network_to_dict(net: Network) -> dict[str, Any]:
-    """Serialize a network to a feeder document (inline per-unit impedances)."""
+    """Serialize a network to a feeder document (inline per-unit impedances).
+
+    Every load is written in order. The reader merges ``caps`` into the
+    first load at a channel, so a capacitor goes there when its load is
+    that first load, and into its load's own ``q_pu`` otherwise.
+    """
+    first: dict[tuple[str, str], int] = {}
+    for i, ld in enumerate(net.loads):
+        first.setdefault((ld.node, ld.phase), i)
+    in_caps = [ld.cap != 0.0 and first[(ld.node, ld.phase)] == i
+               for i, ld in enumerate(net.loads)]
     doc: dict[str, Any] = {
         "name": net.name,
         "bases": {"s_base_va": net.s_base_va, "v_base_v": net.v_base_v},
@@ -251,12 +266,13 @@ def network_to_dict(net: Network) -> dict[str, Any]:
                 "im": ld.demand.imag,
                 "beta_S": ld.beta_s,
                 "beta_Z": ld.beta_z,
+                **({"q_pu": ld.cap} if ld.cap != 0.0 and not cap else {}),
             }
-            for ld in net.loads
-            if ld.demand != 0
+            for ld, cap in zip(net.loads, in_caps)
         ],
         "caps": [
-            {"node": ld.node, "phase": ld.phase, "q_pu": ld.cap} for ld in net.loads if ld.cap != 0.0
+            {"node": ld.node, "phase": ld.phase, "q_pu": ld.cap}
+            for ld, cap in zip(net.loads, in_caps) if cap
         ],
         "der": [
             {"node": d.node, "phase": d.phase, "capacity": d.capacity} for d in net.der_units

@@ -162,7 +162,7 @@ def linear_response(
     """
     dispatch = {k: complex(v) for k, v in (dispatch or {}).items()}
     d, c = _draws(cf, loads, dispatch)
-    zb, coupled = _columns(cf, loads, [cf.channel_pos[ch] for ch in dispatch])
+    zb, coupled = _columns(cf, loads, cf.dispatch_index(dispatch))
     delta = np.zeros(d.shape, dtype=complex)
     delta[:, cf.free] = _nodal(cf, zb, coupled, True, d[:, zb.cls], c[:, zb.cls])
     x = _state(cf, delta)
@@ -181,11 +181,11 @@ def control_response(cf: CompiledFeeder, loads: LoadArrays, channels: Sequence[C
     """
     loads = loads.batch()
     d, c = _draws(cf, loads, {})
-    pos = [cf.channel_pos[ch] for ch in channels]
+    pos = cf.dispatch_index(channels)
     zb, coupled = _columns(cf, loads, pos)
     k = len(pos)
     unit = np.zeros((2 * k, len(zb.cls)), dtype=complex)
-    at = np.searchsorted(zb.cls, cf.channel_class[np.array(pos, dtype=int)])
+    at = np.searchsorted(zb.cls, cf.channel_class[pos])
     unit[np.arange(k), at] = 1.0
     unit[np.arange(k, 2 * k), at] = 1j
     delta = np.zeros((1 + 2 * k, cf.n_cls), dtype=complex)
@@ -212,10 +212,7 @@ def _draws(cf: CompiledFeeder, loads: LoadArrays,
     class consumes ``d + c E`` in the linear model."""
     s_const, s_zmag, s_fixed = cf.class_loads(loads)
     d = s_const + s_fixed
-    for ch, w in dispatch.items():
-        k = cf.index.class_of[ch]
-        if cf.free_pos[k] < 0:
-            raise KeyError(f"dispatch channel {ch} sits on the slack")
+    for k, w in zip(cf.channel_class[cf.dispatch_index(dispatch)].tolist(), dispatch.values()):
         d[..., k] += w
     k0, k1 = np.zeros(cf.n_cls), np.zeros(cf.n_cls)
     np.add.at(k0, cf.vvc_cls, cf.vvc_k0)
@@ -227,7 +224,7 @@ def _columns(cf: CompiledFeeder, loads: LoadArrays, channels) -> tuple[ZBus, np.
     """Z-bus columns at the classes that draw power (``loads``, the extra
     ``channels`` and the volt-var units), and the positions among them of
     the E-coupled classes: constant-impedance load or volt-var."""
-    zb = cf.zbus(np.concatenate([loads.channel, np.array(channels, dtype=int)]))
+    zb = cf.zbus(np.concatenate([loads.channel, channels]))
     coupled = np.concatenate([cf.channel_class[loads.channel[loads.beta_z != 0]], cf.vvc_cls])
     return zb, np.flatnonzero(np.isin(zb.cls, coupled))
 
@@ -340,7 +337,7 @@ def angle_residual(net: Network, sol: PhasorSolution) -> float:
     orientation conventions.
     """
     worst = 0.0
-    for ln in net.compiled.index.real_lines:
+    for ln in (ln for ln in net.lines if ln.closed and not ln.is_ideal):
         vm = np.array([sol.V[(ln.from_node, p)] for p in ln.phases])
         vn = np.array([sol.V[(ln.to_node, p)] for p in ln.phases])
         flow = sol.S_line[ln.name]

@@ -10,6 +10,14 @@ A line with an all-zero impedance matrix is an "ideal" coupling: its endpoint
 channels into a single electrical class and recover the coupling's flow from
 nodal balance afterwards. The tie between the infinite bus and a feeder head
 is modeled this way.
+
+A network compiles once (``Network.compiled``). ``NetworkIndex`` labels
+the channels with their classes, pins the slack's classes and orders the
+ideal couplings for flow recovery. ``CompiledFeeder`` adds the padded
+per-line arrays (impedance, admittance, end classes), on first use the
+Z-bus ``Z`` of the free classes, and ``dispatch_index``, the one place a
+dispatch channel is resolved: both solvers and the dispatch QP reject an
+unknown channel, or one tied to the slack, there.
 """
 
 from __future__ import annotations
@@ -426,110 +434,76 @@ class _UnionFind:
 
 
 class NetworkIndex:
-    """Derived solver structure for a network.
+    """Electrical-class labelling of a network's channels.
 
-    Channels tied by closed ideal lines collapse into electrical classes.
-    Classes containing a slack channel are pinned; the remaining classes are
-    the solver unknowns, ordered deterministically.
+    Channels tied by closed ideal lines collapse into electrical classes,
+    numbered in order of their first channel in ``Network.channels``.
+    Classes holding a slack channel are pinned; the others, in ascending
+    order, are the solver unknowns.
+
+    ``channel_class`` is the class of each channel position, ``free`` the
+    unpinned classes, and ``ideal_steps`` the flow recovery order of the
+    ``ideal`` lines as (child channel, parent channel, orientation sign,
+    flow slot), a flow slot being a phase of ``ideal`` (lines in order,
+    phases in order).
     """
 
-    def __init__(self, net: Network) -> None:
+    def __init__(self, net: Network, channel_pos: Mapping[tuple[str, str], int],
+                 ideal: Sequence[LineSpec]) -> None:
         uf = _UnionFind()
-        for ch in net.channels:
-            uf.find(ch)
-
-        self.ideal_lines = tuple(ln for ln in net.lines if ln.closed and ln.is_ideal)
-        self.real_lines = tuple(ln for ln in net.lines if ln.closed and not ln.is_ideal)
-
-        for ln in self.ideal_lines:
+        # Per channel: (flow slot, other end, sign when this end is the parent).
+        edges: dict[int, list[tuple[int, int, float]]] = {}
+        slot = 0
+        for ln in ideal:
             for p in ln.phases:
-                if not uf.union((ln.from_node, p), (ln.to_node, p)):
+                a, b = channel_pos[(ln.from_node, p)], channel_pos[(ln.to_node, p)]
+                if not uf.union(a, b):
                     raise NetworkError(
                         f"ideal line {ln.name}: zero-impedance cycle on phase {p} "
                         "(coupling flow would be indeterminate)"
                     )
+                edges.setdefault(a, []).append((slot, b, 1.0))
+                edges.setdefault(b, []).append((slot, a, -1.0))
+                slot += 1
 
-        members: dict[tuple[str, str], list[tuple[str, str]]] = {}
-        for ch in net.channels:
-            members.setdefault(uf.find(ch), []).append(ch)
-        self.class_of: dict[tuple[str, str], int] = {}
-        classes: list[tuple[tuple[str, str], ...]] = []
-        for ch in net.channels:  # deterministic: declaration order
-            root = uf.find(ch)
-            if root in members:
-                classes.append(tuple(sorted(members.pop(root))))
-        for k, mem in enumerate(classes):
-            for ch in mem:
-                self.class_of[ch] = k
-        self.classes = tuple(classes)
+        label: dict[int, int] = {}
+        cls = [label.setdefault(uf.find(i), len(label)) for i in range(len(channel_pos))]
+        self.channel_class = np.array(cls, dtype=int)
+        pinned = {cls[channel_pos[(net.slack_id, p)]] for p in PHASES}
+        if len(pinned) < len(PHASES):
+            raise NetworkError("ideal lines tie two slack phases together")
+        self.free = np.array([k for k in range(len(label)) if k not in pinned], dtype=int)
+        self.ideal_steps = self._recovery(net, cls, edges)
 
-        self.slack_value: dict[int, complex] = {}
-        for p in PHASES:
-            k = self.class_of[(net.slack_id, p)]
-            if k in self.slack_value:
-                raise NetworkError("ideal lines tie two slack phases together")
-            self.slack_value[k] = net.slack_phasor(p)
-
-        self.free_classes = tuple(k for k in range(len(self.classes)) if k not in self.slack_value)
-
-        # Per real line: class index arrays for both ends, reduced admittance.
-        self.line_y: dict[str, np.ndarray] = {}
-        self.line_from_cls: dict[str, np.ndarray] = {}
-        self.line_to_cls: dict[str, np.ndarray] = {}
-        for ln in self.real_lines:
-            self.line_y[ln.name] = np.linalg.inv(ln.z)
-            self.line_from_cls[ln.name] = np.array(
-                [self.class_of[(ln.from_node, p)] for p in ln.phases], dtype=int
-            )
-            self.line_to_cls[ln.name] = np.array(
-                [self.class_of[(ln.to_node, p)] for p in ln.phases], dtype=int
-            )
-
-        self._build_ideal_forest(net.slack_id)
-
-    def _build_ideal_forest(self, slack_id: str) -> None:
+    @staticmethod
+    def _recovery(net: Network, cls: list[int], edges: dict[int, list[tuple[int, int, float]]]
+                  ) -> list[tuple[int, int, float, int]]:
         """Orient ideal couplings for flow recovery.
 
         Within each class the ideal lines form a tree over channels. Root each
-        tree at the slack channel when present (else the first channel) and
-        store edges in leaf-first order: the flow on an edge equals the
+        tree at the slack channel when present (else the least channel) and
+        list edges in leaf-first order: the flow on an edge equals the
         accumulated nodal defect of the subtree hanging below it.
         """
-        edges: dict[tuple[str, str], list[tuple[LineSpec, int, tuple[str, str]]]] = {}
-        for ln in self.ideal_lines:
-            for pi, p in enumerate(ln.phases):
-                a, b = (ln.from_node, p), (ln.to_node, p)
-                edges.setdefault(a, []).append((ln, pi, b))
-                edges.setdefault(b, []).append((ln, pi, a))
-
-        order: list[tuple[str, int, tuple[str, str], tuple[str, str], float]] = []
-        visited: set[tuple[str, str]] = set()
-        for mem in self.classes:
-            root = next((ch for ch in mem if ch[0] == slack_id), mem[0])
-            if root in visited or root not in edges:
-                continue
-            stack = [(root, None)]
-            dfs: list[tuple[tuple[str, str], tuple[LineSpec, int, tuple[str, str]] | None]] = []
-            visited.add(root)
+        chs = net.channels
+        roots: dict[int, int] = {}  # every channel of a class of several has edges
+        for i in sorted(edges, key=lambda i: (chs[i][0] != net.slack_id, chs[i])):
+            roots.setdefault(cls[i], i)
+        order: list[tuple[int, int, float, int]] = []
+        for k in sorted(roots):
+            stack: list[tuple[int, tuple[int, int, float] | None]] = [(roots[k], None)]
+            dfs = []
+            visited = {roots[k]}
             while stack:
                 ch, via = stack.pop()
                 dfs.append((ch, via))
-                for ln, pi, other in edges.get(ch, ()):
+                for slot, other, sign in edges[ch]:
                     if other not in visited:
                         visited.add(other)
-                        stack.append((other, (ln, pi, ch)))
+                        stack.append((other, (ch, sign, slot)))
             # Leaf-first: reverse DFS discovery order.
-            for ch, via in reversed(dfs):
-                if via is None:
-                    continue
-                ln, pi, parent = via
-                # Sign +1 when the oriented parent->child direction matches
-                # the line's from->to direction.
-                sign = 1.0 if (ln.from_node, ln.phases[pi]) == parent else -1.0
-                order.append((ln.name, pi, ch, parent, sign))
-        #: tuples (line name, phase position, child channel, parent channel,
-        #: orientation sign)
-        self.ideal_recovery = tuple(order)
+            order.extend((ch, *via) for ch, via in reversed(dfs) if via is not None)
+        return order
 
 
 # ----------------------------------------------------------------------
@@ -612,14 +586,14 @@ class ZBus:
 class CompiledFeeder:
     """Solver arrays of one network, built once and shared by every solve.
 
-    Holds the class index arrays and flat start, the free-class block
-    ``Y_ff`` of the nodal admittance as a dense matrix and (on first use)
-    its inverse ``Z`` that both models solve on (inverted per connected
-    component, or updated from the open network's after a switch closure),
-    the stacked
-    line admittances and end classes that give line currents, the
-    ideal-coupling recovery order, and (on first use) the phase rotations
-    and rotated line arrays of the linear model. Loads are not compiled:
+    Holds the class labelling (``NetworkIndex``) and flat start, the
+    padded per-line impedances, admittances and end classes that give line
+    currents, (on first use) the inverse ``Z`` of the free-class block
+    ``Y_ff`` of the nodal admittance that both models solve on (inverted
+    per connected component, or updated from the open network's after a
+    switch closure), the ideal-coupling recovery order, and (on first use)
+    the rotated line arrays of the linear model. ``dispatch_index`` is the
+    one place a dispatch channel is resolved. Loads are not compiled:
     every solve passes them as ``LoadArrays``, so a sweep that only changes
     loads reuses one compile.
     The per-class and per-line helpers take arrays with any leading batch
@@ -627,81 +601,75 @@ class CompiledFeeder:
     """
 
     def __init__(self, net: Network) -> None:
-        idx = NetworkIndex(net)
-        self.index = idx
-        n = len(idx.classes)
-        self.n_cls = n
         self.channels = net.channels
-        self.channel_pos = {ch: i for i, ch in enumerate(self.channels)}
-        self.channel_class = np.array([idx.class_of[ch] for ch in self.channels], dtype=int)
-        self.free = np.array(idx.free_classes, dtype=int)
+        pos = self.channel_pos = {ch: i for i, ch in enumerate(self.channels)}
+
+        # Closed real lines padded to three phases, zero impedance and
+        # admittance on the padding; closed ideal couplings apart. Padding
+        # points at channel 0, hence at class 0.
+        real: list[LineSpec] = []
+        ideal: list[LineSpec] = []
+        for ln in net.lines:
+            if ln.closed:
+                (ideal if ln.is_ideal else real).append(ln)
+        z = np.zeros((len(real), 3, 3), dtype=complex)
+        fch = np.zeros((len(real), 3), dtype=int)
+        tch = np.zeros((len(real), 3), dtype=int)
+        for l, ln in enumerate(real):
+            k = len(ln.phases)
+            z[l, :k, :k] = ln.z_pu
+            fch[l, :k] = [pos[(ln.from_node, p)] for p in ln.phases]
+            tch[l, :k] = [pos[(ln.to_node, p)] for p in ln.phases]
+        width = np.array([len(ln.phases) for ln in real], dtype=int)
+        live = np.arange(3) < width[:, None]
+        # Each line's own inverse, stacked over the lines of one width.
+        y = np.zeros_like(z)
+        for k in range(1, 4):
+            if np.any(same := width == k):
+                y[same, :k, :k] = np.linalg.inv(z[same, :k, :k])
+        self.line_z, self.line_y, self.line_live = z, y, live
+
+        idx = NetworkIndex(net, pos, ideal)
+        cc = self.channel_class = idx.channel_class
+        self.n_cls = n = int(cc.max()) + 1
+        self.free = idx.free
         self.free_pos = np.full(n, -1)
         self.free_pos[self.free] = np.arange(len(self.free))
-        self.v_flat = np.array([net.slack_phasor(mem[0][1]) for mem in idx.classes], dtype=complex)
-        for k, v in idx.slack_value.items():
-            self.v_flat[k] = v
+        #: Global phase index of each class; an ideal coupling joins one
+        #: phase only, so a class has one.
+        self.class_phase = np.zeros(n, dtype=int)
+        self.class_phase[cc] = [PHASE_INDEX[p] for _, p in self.channels]
+        # Each class at its phase's slack phasor, which pins the slack classes.
+        self.v_flat = np.array(net.slack_voltage, dtype=complex)[self.class_phase]
 
-        # Real lines padded to three phases: zero admittance on the padding.
-        lines = idx.real_lines
-        y = np.zeros((len(lines), 3, 3), dtype=complex)
-        fcol = np.zeros((len(lines), 3), dtype=int)
-        tcol = np.zeros((len(lines), 3), dtype=int)
-        live = np.zeros((len(lines), 3), dtype=bool)
-        for l, ln in enumerate(lines):
-            k = len(ln.phases)
-            y[l, :k, :k] = idx.line_y[ln.name]
-            fcol[l, :k] = idx.line_from_cls[ln.name]
-            tcol[l, :k] = idx.line_to_cls[ln.name]
-            live[l, :k] = True
-        self.line_y, self.line_fcol, self.line_tcol, self.line_live = y, fcol, tcol, live
-
-        # Y_ff: the free rows and columns of the sum over lines of
-        # [[y, -y], [-y, y]] on (from, to) classes, padding left out.
-        ends = np.where(np.concatenate([live, live], axis=1),
-                        self.free_pos[np.concatenate([fcol, tcol], axis=1)], -1)
-        block = np.concatenate(
-            [np.concatenate([y, -y], axis=2), np.concatenate([-y, y], axis=2)], axis=1
-        )
-        row, col = np.repeat(ends, 6, axis=1).ravel(), np.tile(ends, (1, 6)).ravel()
-        keep = (row >= 0) & (col >= 0)
-        nf = len(self.free)
-        self.y_ff = np.zeros((nf, nf), dtype=complex)
-        np.add.at(self.y_ff, (row[keep], col[keep]), block.ravel()[keep])
+        self.line_fcol, self.line_tcol = cc[fch], cc[tch]
         # Free position of each real line's from then to ends, -1 on the
         # padding and on slack-tied classes: ``_components`` reads it.
-        self.line_ends = ends
+        self.line_ends = np.where(np.concatenate([live, live], axis=1),
+                                  self.free_pos[np.concatenate([self.line_fcol, self.line_tcol],
+                                                               axis=1)], -1)
         # (open network, switch) when ``Network.close_switch`` made this
         # network; ``z`` drops it once used.
         self._opened = net.__dict__.pop("_opened", None)
 
         # Per real line phase (lines in order, phases in order): end classes.
-        self.lp_from_cls = fcol[live]
-        self.lp_to_cls = tcol[live]
+        self.lp_from_cls = self.line_fcol[live]
+        self.lp_to_cls = self.line_tcol[live]
         self.n_flow = len(self.lp_from_cls)
 
         # Ideal couplings: leaf-first recovery steps over channel indices.
-        pos = self.channel_pos
-        ideal_slot: dict[tuple[str, int], int] = {}
-        for ln in idx.ideal_lines:
-            for pi in range(len(ln.phases)):
-                ideal_slot[(ln.name, pi)] = len(ideal_slot)
-        self.ideal_steps = [
-            (pos[child], pos[parent], sign, ideal_slot[(name, pi)])
-            for name, pi, child, parent, sign in idx.ideal_recovery
-        ]
-        self.n_ideal_flow = len(ideal_slot)
+        self.ideal_steps = idx.ideal_steps
+        self.n_ideal_flow = sum(len(ln.phases) for ln in ideal)
 
-        # All closed lines, real then ideal: names, phase splits, receiving channels.
-        closed = lines + idx.ideal_lines
+        # All closed lines, real then ideal: names, phase splits, end channels.
+        closed = real + ideal
         self.line_names = tuple(ln.name for ln in closed)
         bounds = np.cumsum([0] + [len(ln.phases) for ln in closed]).tolist()
         self.line_slices = tuple(slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]))
-        self.line_to_ch = np.array(
-            [pos[(ln.to_node, p)] for ln in closed for p in ln.phases], dtype=int
-        )
-        self.line_from_ch = np.array(
-            [pos[(ln.from_node, p)] for ln in closed for p in ln.phases], dtype=int
-        )
+        self.line_to_ch = np.concatenate([tch[live], np.array(
+            [pos[(ln.to_node, p)] for ln in ideal for p in ln.phases], dtype=int)])
+        self.line_from_ch = np.concatenate([fch[live], np.array(
+            [pos[(ln.from_node, p)] for ln in ideal for p in ln.phases], dtype=int)])
 
         units = net.vvc_units
         self.vvc_units = units
@@ -713,6 +681,24 @@ class CompiledFeeder:
         coeffs = np.array([u.linear_coeffs() for u in units], dtype=float).reshape(-1, 2)
         self.vvc_k0, self.vvc_k1 = coeffs[:, 0].copy(), coeffs[:, 1].copy()
 
+    def dispatch_index(self, channels: Iterable[tuple[str, str]]) -> np.ndarray:
+        """Position of each (node, phase) channel that takes a dispatch or
+        a DER unit, in order.
+
+        Raises ``NetworkError`` naming the first channel that is not in the
+        network or that is tied to the slack, where no balance row takes
+        its draw.
+        """
+        out = []
+        for node, phase in channels:
+            i = self.channel_pos.get((node, phase))
+            if i is None:
+                raise NetworkError(f"dispatch channel {node}.{phase} is not in the network")
+            if self.free_pos[self.channel_class[i]] < 0:
+                raise NetworkError(f"dispatch channel {node}.{phase} is tied to the slack")
+            out.append(i)
+        return np.array(out, dtype=int)
+
     @cached_property
     def z(self) -> np.ndarray:
         """``Z = Y_ff^-1``, which the exact model, the linear model and the
@@ -720,19 +706,30 @@ class CompiledFeeder:
 
         After ``Network.close_switch`` it is the open network's ``Z``
         updated by the switch's rank (``_closed_z``), compiling the open
-        network first if need be, so it does not depend on call order.
-        Otherwise each connected component of ``Y_ff`` is inverted on its
-        own; a connected ``Y_ff`` is one ``np.linalg.inv``.
+        network first if need be, so it does not depend on call order, and
+        ``Y_ff`` is never assembled. Otherwise each connected component of
+        ``Y_ff`` is inverted on its own; a connected ``Y_ff`` is one
+        ``np.linalg.inv``.
         """
         opened, self._opened = self._opened, None
         if opened is not None:
             net, switch = opened
             return self._closed_z(net.compiled.z, switch)
+        # Y_ff: the free rows and columns of the sum over real lines of
+        # [[y, -y], [-y, y]] on their (from, to) classes, padding left out.
+        y, ends = self.line_y, self.line_ends
+        block = np.concatenate(
+            [np.concatenate([y, -y], axis=2), np.concatenate([-y, y], axis=2)], axis=1
+        )
+        row, col = np.repeat(ends, 6, axis=1).ravel(), np.tile(ends, (1, 6)).ravel()
+        keep = (row >= 0) & (col >= 0)
+        y_ff = np.zeros((len(self.free), len(self.free)), dtype=complex)
+        np.add.at(y_ff, (row[keep], col[keep]), block.ravel()[keep])
         if self._single_component() or len(blocks := self._components()) == 1:
-            return np.linalg.inv(self.y_ff)
-        z = np.zeros_like(self.y_ff)
+            return np.linalg.inv(y_ff)
+        z = np.zeros_like(y_ff)
         for b in blocks:
-            z[np.ix_(b, b)] = np.linalg.inv(self.y_ff[np.ix_(b, b)])
+            z[np.ix_(b, b)] = np.linalg.inv(y_ff[np.ix_(b, b)])
         return z
 
     def _single_component(self) -> bool:
@@ -768,10 +765,9 @@ class CompiledFeeder:
         "add a link" update (Grainger & Stevenson, *Power System
         Analysis*, §8.4), at O(k n^2) instead of an O(n^3) inverse.
         """
-        k = len(switch.phases)
+        k, row = len(switch.phases), self.line_names.index(switch.name)
         a = np.zeros((k, len(self.free)))
-        for cls, sign in ((self.index.line_from_cls[switch.name], 1.0),
-                          (self.index.line_to_cls[switch.name], -1.0)):
+        for cls, sign in ((self.line_fcol[row, :k], 1.0), (self.line_tcol[row, :k], -1.0)):
             pos = self.free_pos[cls]
             a[np.arange(k)[pos >= 0], pos[pos >= 0]] += sign
         u = z @ a.T
@@ -794,12 +790,6 @@ class CompiledFeeder:
         need = self.free_pos[cls]
         z = np.ascontiguousarray(self.z[:, need])
         return ZBus(cls=cls, z=z, z_ll=z[need])
-
-    @cached_property
-    def class_phase(self) -> np.ndarray:
-        """Global phase index of each class; an ideal coupling joins one
-        phase only, so a class has one."""
-        return np.array([PHASE_INDEX[mem[0][1]] for mem in self.index.classes], dtype=int)
 
     @cached_property
     def class_rot(self) -> np.ndarray:
@@ -825,10 +815,7 @@ class CompiledFeeder:
     def flow_mn(self) -> np.ndarray:
         """``build_mn``'s ``m + jn`` row of every real line phase, over
         ``flow_mates``."""
-        z = np.zeros_like(self.line_y)
-        for l, ln in enumerate(self.index.real_lines):
-            z[l, : len(ln.phases), : len(ln.phases)] = ln.z
-        return _rotate_conj(z, self.class_phase[self.line_fcol])[self.line_live]
+        return _rotate_conj(self.line_z, self.class_phase[self.line_fcol])[self.line_live]
 
     @cached_property
     def flow_w_inv(self) -> np.ndarray:
@@ -880,8 +867,8 @@ class CompiledFeeder:
         s_const, s_zmag, s_fixed = _sum_loads(loads, loads.channel, len(self.channels))
         s = s_const + s_zmag * e + s_fixed
         np.add.at(s, (..., self.vvc_ch), 1j * vvc_q)
-        for ch, w in dispatch.items():
-            s[..., self.channel_pos[ch]] += w
+        for i, w in zip(self.dispatch_index(dispatch).tolist(), dispatch.values()):
+            s[..., i] += w
         return s
 
     def line_currents(self, v: np.ndarray) -> np.ndarray:

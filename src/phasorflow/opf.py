@@ -60,7 +60,6 @@ class _ReducedModel:
     def __init__(self, net: Network, targets: Sequence[tuple[str, str]],
                  channels: Sequence[Channel]):
         cf = net.compiled
-        idx = cf.index
         self.loads = cf.load_arrays(net.loads)
         self.x0, self.dx0, self.B = control_response(cf, self.loads, channels)
 
@@ -74,8 +73,8 @@ class _ReducedModel:
             if not common:
                 raise ValueError(f"targets {k1} and {k2} share no phase")
             for p in common:
-                c1 = idx.class_of[(k1, p)]
-                c2 = idx.class_of[(k2, p)]
+                c1 = cf.channel_class[cf.channel_pos[(k1, p)]]
+                c2 = cf.channel_class[cf.channel_pos[(k2, p)]]
                 row = np.zeros(2 * n_cls)
                 row[c1], row[c2] = 1.0, -1.0
                 diff_e.append(row)
@@ -90,11 +89,13 @@ class _ReducedModel:
         self.gap_e = d_e @ self.B
         self.gap_t = d_t @ self.B
 
-        self.free_classes = np.array(idx.free_classes, dtype=int)
-        self.e0 = self.x0[self.free_classes]
-        self.b_e = self.B[self.free_classes, :]
-        # First channel of each class, for naming box violations.
-        self.class_labels = [idx.classes[c][0] for c in idx.free_classes]
+        self.e0 = self.x0[cf.free]
+        self.b_e = self.B[cf.free, :]
+        # The least channel of each class, for naming box violations.
+        label: dict[int, Channel] = {}
+        for ch, c in sorted(zip(cf.channels, cf.channel_class.tolist())):
+            label.setdefault(c, ch)
+        self.class_labels = [label[c] for c in cf.free.tolist()]
 
     def quadratic(self, rho_mag: float, rho_angle: float,
                   rho_effort: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -169,7 +170,8 @@ def build_opf(net: Network, targets: Sequence[tuple[str, str]],
 
     ``weights`` maps "magnitude"/"angle"/"effort" to nonnegative penalties;
     missing keys default to zero, all-zero weights are rejected. Voltage
-    bounds are on squared magnitude (defaults 0.95^2 and 1.05^2).
+    bounds are on squared magnitude (defaults 0.95^2 and 1.05^2). A DER
+    channel tied to the slack raises ``NetworkError``.
     """
     unknown = set(weights) - set(WEIGHT_KEYS)
     if unknown:
@@ -192,10 +194,6 @@ def build_opf(net: Network, targets: Sequence[tuple[str, str]],
         channels.append((der.node, der.phase))
         caps.append(der.capacity)
 
-    idx = net.compiled.index
-    for ch in channels:
-        if idx.class_of[ch] in idx.slack_value:
-            raise ValueError(f"resource channel {ch} is tied to the slack")
     model = _ReducedModel(net, targets, channels)
     return OpfProblem(
         network=net,

@@ -238,16 +238,26 @@ class TestMalformedDocuments:
         self.assert_clean_exit_1(*run(capsys, "solve", str(bad)), detail=detail)
 
     def test_ragged_line_impedance_exit_1(self, capsys, tmp_path, data_dir):
-        # numpy reports the ragged row, as before: the line is not named
         doc = json.loads((data_dir / "ieee13.json").read_text())
         doc["lines"][1]["z_pu"][0].pop()
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         self.assert_clean_exit_1(
-            *run(capsys, "solve", str(bad)), error="ValueError",
-            detail="setting an array element with a sequence. The requested array has an "
-                   "inhomogeneous shape after 1 dimensions. The detected shape was (3,) + "
-                   "inhomogeneous part.")
+            *run(capsys, "solve", str(bad)),
+            detail="line 650-632: expected a matrix, got rows of lengths [2, 3, 3]")
+
+    @pytest.mark.parametrize("command", ["solve", "linearize"])
+    @pytest.mark.parametrize("key,detail", [
+        ("650.a", "dispatch channel 650.a is tied to the slack"),
+        ("999.a", "dispatch channel 999.a is not in the network"),
+    ], ids=["slack_tied", "unknown"])
+    def test_dispatch_channel_exit_1_alike_in_both_solvers(self, capsys, tmp_path, feeder13,
+                                                          command, key, detail):
+        # 650 is tied to the slack on ieee13: no balance row takes its draw
+        path = tmp_path / "dispatch.json"
+        path.write_text(json.dumps({key: [0.1, 0.05]}))
+        self.assert_clean_exit_1(*run(capsys, command, feeder13, "--dispatch", str(path)),
+                                 detail=detail)
 
     @pytest.mark.parametrize("value", [5, [0.1]], ids=["number", "one_element_list"])
     def test_malformed_dispatch_exit_1_without_traceback(self, capsys, tmp_path, feeder13,

@@ -1,6 +1,7 @@
 import copy
 import importlib.util
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from phasorflow.feeders import (
     scale_loads,
 )
 from phasorflow.experiments import build_scenario_network, load_scenario
-from phasorflow.model import NetworkError
+from phasorflow.model import LoadSpec, NetworkError
 
 
 class TestRoundTrip:
@@ -30,6 +31,14 @@ class TestRoundTrip:
         assert back.slack_voltage == ieee13.slack_voltage
         assert back.s_base_va == ieee13.s_base_va
         assert back.v_base_v == ieee13.v_base_v
+
+    def test_zero_demand_and_capacitor_only_loads_keep_their_place(self, ieee13):
+        # demand-free loads used to be dropped or moved behind the others
+        loads = ((LoadSpec("675", "a", 0j), LoadSpec("632", "b", 0j, beta_s=0.5, beta_z=0.5,
+                                                      cap=0.02))
+                 + ieee13.loads)
+        net = replace(ieee13, loads=loads)
+        assert network_from_dict(network_to_dict(net)) == net
 
     def test_file_round_trip(self, ieee13, tmp_path):
         out = tmp_path / "copy.json"

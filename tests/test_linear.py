@@ -211,9 +211,12 @@ def linear_system(net, dispatch=None):
     incidence: two drop rows per real line phase, then per class either two
     balance rows or, for a slack-tied class, two pin rows. Independent of the
     Z-bus solve in the production model."""
-    idx = net.compiled.index
-    n_cls = len(idx.classes)
-    n_flow = sum(len(ln.phases) for ln in idx.real_lines)
+    cf = net.compiled
+    cls = {ch: int(k) for ch, k in zip(cf.channels, cf.channel_class)}
+    real = [ln for ln in net.lines if ln.closed and not ln.is_ideal]
+    pinned = {cls[(net.slack_id, p)]: net.slack_phasor(p) for p in "abc"}
+    n_cls = cf.n_cls
+    n_flow = sum(len(ln.phases) for ln in real)
     n_state = 2 * n_cls + 2 * n_flow
     col_p, col_q = 2 * n_cls, 2 * n_cls + n_flow
     rows, cols, vals = [], [], []
@@ -225,44 +228,45 @@ def linear_system(net, dispatch=None):
 
     r = base = 0
     arriving, leaving = {}, {}
-    for ln in idx.real_lines:
+    for ln in real:
         mn = build_mn(ln.z, ln.phases)
-        fc, tc = idx.line_from_cls[ln.name], idx.line_to_cls[ln.name]
+        fc = [cls[(ln.from_node, p)] for p in ln.phases]
+        tc = [cls[(ln.to_node, p)] for p in ln.phases]
         k = len(ln.phases)
         for pi in range(k):
-            put(r, int(fc[pi]), 1.0)
-            put(r, int(tc[pi]), -1.0)
+            put(r, fc[pi], 1.0)
+            put(r, tc[pi], -1.0)
             for pj in range(k):
                 put(r, col_p + base + pj, -2.0 * mn.m[pi, pj])
                 put(r, col_q + base + pj, 2.0 * mn.n[pi, pj])
-            put(r + 1, n_cls + int(fc[pi]), 1.0)
-            put(r + 1, n_cls + int(tc[pi]), -1.0)
+            put(r + 1, n_cls + fc[pi], 1.0)
+            put(r + 1, n_cls + tc[pi], -1.0)
             for pj in range(k):
                 put(r + 1, col_p + base + pj, mn.n[pi, pj])
                 put(r + 1, col_q + base + pj, mn.m[pi, pj])
             r += 2
-            arriving.setdefault(int(tc[pi]), []).append(base + pi)
-            leaving.setdefault(int(fc[pi]), []).append(base + pi)
+            arriving.setdefault(tc[pi], []).append(base + pi)
+            leaving.setdefault(fc[pi], []).append(base + pi)
         base += k
 
     # A class consumes d + c E: loads, volt-var on its open segment, dispatch.
     d = np.zeros(n_cls, dtype=complex)
     c = np.zeros(n_cls, dtype=complex)
     for ld in net.loads:
-        k = idx.class_of[(ld.node, ld.phase)]
+        k = cls[(ld.node, ld.phase)]
         d[k] += ld.beta_s * ld.demand - 1j * ld.cap
         c[k] += ld.beta_z * ld.demand
     for unit in net.vvc_units:
         k0, k1 = unit.linear_coeffs()
-        d[idx.class_of[(unit.node, unit.phase)]] += 1j * k0
-        c[idx.class_of[(unit.node, unit.phase)]] += 1j * k1
+        d[cls[(unit.node, unit.phase)]] += 1j * k0
+        c[cls[(unit.node, unit.phase)]] += 1j * k1
     for ch, w in (dispatch or {}).items():
-        d[idx.class_of[ch]] += w
+        d[cls[ch]] += w
 
     b = np.zeros(n_state)
     for k in range(n_cls):
-        if k in idx.slack_value:
-            vs = idx.slack_value[k]
+        if k in pinned:
+            vs = pinned[k]
             put(r, k, 1.0)
             put(r + 1, n_cls + k, 1.0)
             b[r], b[r + 1] = abs(vs) ** 2, math.atan2(vs.imag, vs.real)
@@ -295,6 +299,24 @@ def square_linalg_calls(monkeypatch, sizes):
 
     for name in ("inv", "solve"):
         monkeypatch.setattr(np.linalg, name, record(name, getattr(np.linalg, name)))
+    return calls
+
+
+def square_allocations(monkeypatch, n):
+    """Record each ``np.zeros`` or ``np.zeros_like`` that allocates an n x n
+    matrix, by name: how ``Y_ff`` and a blockwise ``Z`` are assembled."""
+    calls = []
+
+    def record(name, real):
+        def wrapped(*args, **kwargs):
+            out = real(*args, **kwargs)
+            if out.shape == (n, n):
+                calls.append(name)
+            return out
+        return wrapped
+
+    for name in ("zeros", "zeros_like"):
+        monkeypatch.setattr(np, name, record(name, getattr(np, name)))
     return calls
 
 
@@ -332,6 +354,7 @@ class TestFactoredResponse:
         n_free = len(net.compiled.free)
         assert n_free == 58
         calls = square_linalg_calls(monkeypatch, {n_free, n_free // 2})
+        allocs = square_allocations(monkeypatch, n_free)
 
         def solves(net):
             solve_exact(net)
@@ -346,18 +369,25 @@ class TestFactoredResponse:
         # The two open feeders meet only at the slack, so Y_ff is two blocks:
         # one inverse per block, whose Z-bus columns both models read.
         assert calls == [("inv", (n_free // 2, n_free // 2))] * 2
+        assert allocs == ["zeros", "zeros_like"]  # Y_ff, then Z block by block
         calls.clear()
+        allocs.clear()
         solves(net.close_switch("tie-1680-2680"))
-        # The closed copy's Z is the open one's updated by the tie's rank.
+        # The closed copy's Z is the open one's updated by the tie's rank,
+        # and its compile assembles no Y_ff.
         assert calls == []
+        assert allocs == []
 
     def test_sequential_closures_invert_no_full_y_ff(self, spec37, monkeypatch):
         n_free = 216
         calls = square_linalg_calls(monkeypatch, {n_free, n_free // 2})
+        allocs = square_allocations(monkeypatch, n_free)
         reports = run_sequential_switching(spec37)
         assert len(reports) == 2
-        # two blocks of the open network, then two rank-3 updates
+        # two blocks of the open network, then two rank-3 updates; only the
+        # open network assembles Y_ff
         assert calls == [("inv", (n_free // 2, n_free // 2))] * 2
+        assert allocs == ["zeros", "zeros_like"]
 
     def test_residual_audit_catches_a_perturbed_response(self, ieee13):
         net = replace(ieee13)  # its own compile, so the cache below is private

@@ -161,13 +161,20 @@ class TestNetworkValidation:
             two_node(loads=[LoadSpec("n9", "a", 0.1)])
 
 
+def class_of(net, ch):
+    cf = net.compiled
+    return cf.channel_class[cf.channel_pos[ch]]
+
+
 class TestIndex:
     def test_slack_channels_pinned(self):
         net = two_node()
-        idx = net.compiled.index
+        cf = net.compiled
         for phase, want in zip("abc", net.slack_voltage):
-            cls = idx.class_of[("source", phase)]
-            assert idx.slack_value[cls] == want
+            cls = class_of(net, ("source", phase))
+            assert cf.free_pos[cls] == -1
+            assert cf.v_flat[cls] == want
+        assert all(cf.free_pos[class_of(net, ("n1", p))] >= 0 for p in "abc")
 
     def test_ideal_line_merges_classes(self):
         # zero-impedance tie makes n1 and n2 one electrical node per phase
@@ -175,10 +182,9 @@ class TestIndex:
         lines = (LineSpec("source", "n1", "abc", Z3),
                  LineSpec("n1", "n2", "abc", np.zeros((3, 3)).tolist(), name="tie"))
         net = Network(nodes=nodes, lines=lines)
-        idx = net.compiled.index
         for p in "abc":
-            assert idx.class_of[("n1", p)] == idx.class_of[("n2", p)]
-            assert idx.class_of[("n1", p)] != idx.class_of[("source", p)]
+            assert class_of(net, ("n1", p)) == class_of(net, ("n2", p))
+            assert class_of(net, ("n1", p)) != class_of(net, ("source", p))
 
     def test_open_switch_does_not_merge(self):
         nodes = (NodeSpec("source", "abc"), NodeSpec("n1", "abc"), NodeSpec("n2", "abc"))
@@ -187,8 +193,7 @@ class TestIndex:
                  LineSpec("n1", "n2", "abc", Z3, name="sw", is_switch=True, closed=False))
         net = Network(nodes=nodes, lines=lines)
         assert net.open_switches == ("sw",)
-        idx = net.compiled.index
-        assert idx.class_of[("n1", "a")] != idx.class_of[("n2", "a")]
+        assert class_of(net, ("n1", "a")) != class_of(net, ("n2", "a"))
 
 
 class TestComponents:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from phasorflow.linear import solve_linear
-from phasorflow.model import DerSpec, LineSpec, LoadSpec, Network, NodeSpec
+from phasorflow.model import DerSpec, LineSpec, LoadSpec, Network, NetworkError, NodeSpec
 from phasorflow.opf import (
     DispatchConvergenceError,
     InfeasibleError,
@@ -189,6 +189,11 @@ class TestValidation:
     def test_bad_box(self):
         with pytest.raises(ValueError, match="e_min"):
             build_opf(tiny_dual(), [("m1", "m2")], WEIGHTS, e_min=1.2, e_max=1.1)
+
+    def test_resource_on_the_slack(self):
+        net = replace(tiny_dual(), der_units=(DerSpec("source", "b", 0.05),))
+        with pytest.raises(NetworkError, match="dispatch channel source.b is tied to the slack"):
+            build_opf(net, [("m1", "m2")], WEIGHTS)
 
 
 class TestSolverFailure:

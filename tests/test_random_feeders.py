@@ -98,7 +98,6 @@ def feeders(draw, open_tie=False):
                            q_max=draw(small(0.001, 0.01)), v_min=v_min,
                            v_max=v_min + draw(small(0.04, 0.1))))
     ders = draw(st.lists(st.sampled_from(channels), max_size=3, unique=True))
-    # dispatch anywhere, not only on DER channels
     dispatch = {ch: complex(draw(small(-0.02, 0.02)), draw(small(-0.02, 0.02)))
                 for ch in draw(st.lists(st.sampled_from(channels), max_size=3, unique=True))}
     net = Network(nodes=(NodeSpec("source", "abc"),)
@@ -106,7 +105,17 @@ def feeders(draw, open_tie=False):
                   lines=tuple(lines), loads=tuple(loads),
                   der_units=tuple(DerSpec(n, p, 0.05) for n, p in ders),
                   vvc_units=tuple(vvc), line_configs=BASE.line_configs)
-    return net, dispatch, lines[-1].name != "tie" or open_tie
+    # dispatch anywhere off the slack, not only on DER channels; a channel
+    # tied to the slack has no balance row to take a draw, and both solvers
+    # reject it
+    return (net, {ch: w for ch, w in dispatch.items() if off_the_slack(net, ch)},
+            lines[-1].name != "tie" or open_tie)
+
+
+def off_the_slack(net, ch):
+    """Whether channel ``ch`` is in a class the slack does not pin."""
+    cf = net.compiled
+    return cf.free_pos[cf.channel_class[cf.channel_pos[ch]]] >= 0
 
 
 def with_dispatch_as_loads(net, dispatch):
@@ -150,8 +159,7 @@ def test_jacobian_matches_central_difference(case, seed):
     cf = net.compiled
     loads = cf.load_arrays(net.loads).batch()
     inj = np.array(_injections(cf, loads, dispatch))
-    zb = cf.zbus(np.concatenate([loads.channel,
-                                 np.array([cf.channel_pos[ch] for ch in dispatch], dtype=int)]))
+    zb = cf.zbus(np.concatenate([loads.channel, cf.dispatch_index(dispatch)]))
     flat = cf.v_flat[zb.cls]
     if not len(flat):
         return  # nothing draws power: the Newton system is empty
@@ -169,13 +177,6 @@ def test_jacobian_matches_central_difference(case, seed):
             cols.append(np.concatenate([df.real, df.imag]))
     numeric = np.array(cols).T
     assert np.max(np.abs(analytic - numeric)) <= 1e-6 * np.max(np.abs(analytic))
-
-
-def off_the_slack(net, dispatch):
-    """``dispatch`` without the channels tied to the slack, where the linear
-    model has no balance row to put a draw in."""
-    idx = net.compiled.index
-    return {ch: w for ch, w in dispatch.items() if idx.class_of[ch] not in idx.slack_value}
 
 
 def volt_var_term(net, exact, approx):
@@ -208,7 +209,6 @@ def volt_var_term(net, exact, approx):
 @given(feeders())
 def test_linear_solution_passes_the_oracles(case):
     net, dispatch, radial = case
-    dispatch = off_the_slack(net, dispatch)
     cf = net.compiled
     exact = solve_exact(net, dispatch=dispatch)
     assert angle_residual(net, exact) <= 1e-8
@@ -228,8 +228,7 @@ def test_linear_solution_passes_the_oracles(case):
 @given(feeders(), st.data())
 def test_dispatch_passes_kkt(case, data):
     net, _, _ = case
-    idx = net.compiled.index
-    free = [ch for ch in net.channels if idx.class_of[ch] not in idx.slack_value]
+    free = [ch for ch in net.channels if off_the_slack(net, ch)]
     if not free:
         return  # every channel is tied to the slack: nothing to dispatch
     ders = data.draw(st.lists(st.sampled_from(free), min_size=1, max_size=4, unique=True))
@@ -261,7 +260,6 @@ def test_closing_the_tie_matches_a_network_built_closed(case):
     assert np.max(np.abs(z - want), initial=0.0) <= 1e-12 * np.max(np.abs(want), initial=0.0)
     got, ref = solve_exact(closed, dispatch=dispatch), solve_exact(built, dispatch=dispatch)
     assert max(abs(got.V[ch] - ref.V[ch]) for ch in net.channels) <= 1e-10
-    dispatch = off_the_slack(net, dispatch)
     got, ref = solve_linear(closed, dispatch=dispatch), solve_linear(built, dispatch=dispatch)
     assert max(max(abs(got.E[ch] - ref.E[ch]), abs(got.theta[ch] - ref.theta[ch]))
                for ch in net.channels) <= 1e-12
@@ -271,8 +269,45 @@ def test_closing_the_tie_matches_a_network_built_closed(case):
 
 @BATTERY
 @given(st.one_of(feeders(), feeders(open_tie=True)))
-def test_reader_round_trip_and_component_precheck(case):
+def test_labelling_matches_a_walk_over_the_ideal_lines(case):
     net, _, _ = case
+    # Components of the channels under closed ideal lines, each named by
+    # its first channel in declaration order.
+    adj = {ch: [] for ch in net.channels}
+    for ln in net.lines:
+        if ln.closed and ln.is_ideal:
+            for p in ln.phases:
+                adj[(ln.from_node, p)].append((ln.to_node, p))
+                adj[(ln.to_node, p)].append((ln.from_node, p))
+    group = {}
+    for ch in net.channels:
+        if ch not in group:
+            group[ch], stack = ch, [ch]
+            while stack:
+                for other in adj[stack.pop()]:
+                    if other not in group:
+                        group[other] = ch
+                        stack.append(other)
+    cf = net.compiled
+    cls = dict(zip(net.channels, cf.channel_class.tolist()))
+    assert all((cls[a] == cls[b]) == (group[a] == group[b])
+               for a in net.channels for b in net.channels)
+    pinned = {group[(net.slack_id, p)] for p in "abc"}
+    assert all((cf.free_pos[cls[ch]] < 0) == (group[ch] in pinned) for ch in net.channels)
+    # classes are numbered in the order of their first channel
+    assert list(dict.fromkeys(cls.values())) == list(range(cf.n_cls))
+
+
+@BATTERY
+@given(st.one_of(feeders(), feeders(open_tie=True)), st.data())
+def test_reader_round_trip_and_component_precheck(case, data):
+    net, _, _ = case
+    # demand-free loads anywhere: one with nothing, one with a capacitor only
+    loads = list(net.loads)
+    for cap in (0.0, 0.01):
+        node, phase = data.draw(st.sampled_from(net.channels))
+        loads.insert(data.draw(st.integers(0, len(loads))), LoadSpec(node, phase, 0j, cap=cap))
+    net = replace(net, loads=tuple(loads))
     assert network_from_dict(network_to_dict(net)) == net
     # the O(lines) test sees one component only where the labelling does
     cf = net.compiled
