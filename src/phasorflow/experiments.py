@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping
@@ -171,6 +170,8 @@ def monte_carlo(net_base: Network, grid, scenarios_per_cell: int = 100,
         for j, di in enumerate(im_axis)
     ]
     if workers and workers > 1:
+        # imported here: it loads multiprocessing, which no serial command needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_mc_cell, payloads, chunksize=4))
     else:

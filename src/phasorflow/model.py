@@ -76,11 +76,16 @@ def _canonical(items: tuple) -> tuple[str, ...]:
 def _as_complex_matrix(z, n: int, context: str) -> tuple[tuple[complex, ...], ...]:
     """``z`` as an n x n tuple of complex rows. Rows that already hold
     Python complex numbers, as the document reader builds them, are taken
-    as they are; anything else goes through numpy."""
+    as they are; anything else goes through numpy, once rows of unequal
+    lengths are rejected."""
     if (type(z) in (list, tuple) and len(z) == n
             and all(type(row) in (list, tuple) and len(row) == n
                     and all(type(v) is complex for v in row) for row in z)):
         return tuple(map(tuple, z))
+    if (type(z) in (list, tuple) and all(type(row) in (list, tuple) for row in z)
+            and len({len(row) for row in z}) > 1):
+        raise NetworkError(f"{context}: expected a matrix, got rows of lengths "
+                           f"{[len(row) for row in z]}")
     arr = np.asarray(z, dtype=complex)
     if arr.shape != (n, n):
         raise NetworkError(f"{context}: impedance must be {n}x{n}, got {arr.shape}")
@@ -375,7 +380,7 @@ class Network:
         A real-impedance switch leaves the electrical classes as they are,
         so the copy keeps a link to this network: its compile takes the
         link, and its Z-bus is this network's Z updated by the switch's
-        rank (``CompiledFeeder.z``) instead of a fresh inverse.
+        rank (``CompiledFeeder.z``) instead of a fresh build.
         """
         ln = self.line_map.get(switch_id)
         if ln is None or not ln.is_switch:
@@ -588,10 +593,11 @@ class CompiledFeeder:
 
     Holds the class labelling (``NetworkIndex``) and flat start, the
     padded per-line impedances, admittances and end classes that give line
-    currents, (on first use) the inverse ``Z`` of the free-class block
-    ``Y_ff`` of the nodal admittance that both models solve on (inverted
-    per connected component, or updated from the open network's after a
-    switch closure), the ideal-coupling recovery order, and (on first use)
+    currents, (on first use) ``Z``, the inverse of the free-class block
+    ``Y_ff`` of the nodal admittance that both models solve on (built line
+    by line, never by inverting ``Y_ff``, so its bits do not depend on the
+    BLAS thread count; or updated from the open network's after a switch
+    closure), the ideal-coupling recovery order, and (on first use)
     the rotated line arrays of the linear model. ``dispatch_index`` is the
     one place a dispatch channel is resolved. Loads are not compiled:
     every solve passes them as ``LoadArrays``, so a sweep that only changes
@@ -643,11 +649,6 @@ class CompiledFeeder:
         self.v_flat = np.array(net.slack_voltage, dtype=complex)[self.class_phase]
 
         self.line_fcol, self.line_tcol = cc[fch], cc[tch]
-        # Free position of each real line's from then to ends, -1 on the
-        # padding and on slack-tied classes: ``_components`` reads it.
-        self.line_ends = np.where(np.concatenate([live, live], axis=1),
-                                  self.free_pos[np.concatenate([self.line_fcol, self.line_tcol],
-                                                               axis=1)], -1)
         # (open network, switch) when ``Network.close_switch`` made this
         # network; ``z`` drops it once used.
         self._opened = net.__dict__.pop("_opened", None)
@@ -702,78 +703,107 @@ class CompiledFeeder:
     @cached_property
     def z(self) -> np.ndarray:
         """``Z = Y_ff^-1``, which the exact model, the linear model and the
-        dispatch QP all read.
-
-        After ``Network.close_switch`` it is the open network's ``Z``
-        updated by the switch's rank (``_closed_z``), compiling the open
-        network first if need be, so it does not depend on call order, and
-        ``Y_ff`` is never assembled. Otherwise each connected component of
-        ``Y_ff`` is inverted on its own; a connected ``Y_ff`` is one
-        ``np.linalg.inv``.
+        dispatch QP all read, built by the Z-bus building algorithm
+        (Grainger & Stevenson, *Power System Analysis*, §8.4): level by
+        level of ``_walk``, each branch copies its parents' rows, then
+        columns, to its children and adds its ``z`` to their block (a line
+        entered by its to ends flips both signs, which leaves ``z``); then
+        the links go in. Copies and additions in a fixed order give the
+        same bits on any BLAS thread count. After ``Network.close_switch``
+        it is the open network's ``Z`` with the switch linked.
         """
         opened, self._opened = self._opened, None
         if opened is not None:
             net, switch = opened
-            return self._closed_z(net.compiled.z, switch)
-        # Y_ff: the free rows and columns of the sum over real lines of
-        # [[y, -y], [-y, y]] on their (from, to) classes, padding left out.
-        y, ends = self.line_y, self.line_ends
-        block = np.concatenate(
-            [np.concatenate([y, -y], axis=2), np.concatenate([-y, y], axis=2)], axis=1
-        )
-        row, col = np.repeat(ends, 6, axis=1).ravel(), np.tile(ends, (1, 6)).ravel()
-        keep = (row >= 0) & (col >= 0)
-        y_ff = np.zeros((len(self.free), len(self.free)), dtype=complex)
-        np.add.at(y_ff, (row[keep], col[keep]), block.ravel()[keep])
-        if self._single_component() or len(blocks := self._components()) == 1:
-            return np.linalg.inv(y_ff)
-        z = np.zeros_like(y_ff)
-        for b in blocks:
-            z[np.ix_(b, b)] = np.linalg.inv(y_ff[np.ix_(b, b)])
-        return z
+            row, k = self.line_names.index(switch.name), len(switch.phases)
+            return _link(net.compiled.z, self.free_pos[self.line_fcol[row, :k]],
+                         self.free_pos[self.line_tcol[row, :k]], switch.z)
+        # Slots: the free positions, then fresh ones, then a zero row and
+        # column, slot -1, for the slack and the padding.
+        child = np.where(self.line_live, self.free_pos[self.line_tcol], -1)
+        parent = np.where(self.line_live, self.free_pos[self.line_fcol], -1)
+        levels, flips, links, grounded, n_slots = self._walk(parent.tolist(), child.tolist())
+        for l, (new, old) in flips.items():
+            child[l, :len(new)], parent[l, :len(new)] = new, old
+        order = [l for level in levels for l in level]
+        child, parent, add = child[order], parent[order], self.line_z[order]
+        z = np.zeros((n_slots + 1, n_slots + 1), dtype=complex)
+        if grounded:
+            z[grounded, grounded] = 1.0
+        block = child % len(z)  # flat positions of each branch's block
+        block = block[:, :, None] * len(z) + block[:, None, :]
+        end = 0
+        for depth, level in enumerate(levels):
+            start, end = end, end + len(level)
+            if depth:  # the first level's parents are all tied to the slack
+                new, old = child[start:end].ravel(), parent[start:end].ravel()
+                z[new] = z.take(old, axis=0)
+                z[:, new] = z[:, old]
+            z.ravel()[block[start:end]] += add[start:end]
+        for frm, to, zk in links:
+            z = _link(z, frm, to, zk)
+        return z[:len(self.free), :len(self.free)]
 
-    def _single_component(self) -> bool:
-        """Whether ``Y_ff`` is one component, seen in O(lines) when a single
-        real line touches the slack-tied classes: every free class reaches
-        the slack (``Network`` validates that), so every component holds a
-        free end of that line, and a line couples all of its free ends.
-        False means only "not seen"; ``_components`` then labels them."""
-        slack_end = np.concatenate([self.line_live, self.line_live], axis=1) & (self.line_ends < 0)
-        return len(self.free) > 0 and np.count_nonzero(slack_end.any(axis=1)) == 1
+    def _walk(self, parent: list, child: list):
+        """The levels of branches, ``flips``, links, grounded slots and slot
+        count of ``z``, in O(lines), over the slots of the lines' ends.
 
-    def _components(self) -> list[np.ndarray]:
-        """Free positions of each connected component of ``Y_ff``, read off
-        the line ends: a real line couples every free class at its ends."""
-        uf = _UnionFind()
-        for row in self.line_ends.tolist():
-            ends = [p for p in row if p >= 0]
-            for p in ends[1:]:
-                uf.union(ends[0], p)
-        blocks: dict[int, list[int]] = {}
-        for p in range(len(self.free)):
-            blocks.setdefault(uf.find(p), []).append(p)
-        return [np.array(b) for b in blocks.values()]
-
-    def _closed_z(self, z: np.ndarray, switch: LineSpec) -> np.ndarray:
-        """``Z`` of this network from ``z``, the ``Z`` of the same network
-        with the real-impedance ``switch`` open.
-
-        With ``A`` the signed incidence of the switch's free-class ends (+1
-        from, -1 to; an end tied to the slack drops out), closing it adds
-        ``A^T z_sw^-1 A`` to ``Y_ff``. By Woodbury, with ``U = Z A^T`` and
-        the k x k ``K = z_sw + A U``, ``Z' = Z - U K^-1 (A Z)``: the Z-bus
-        "add a link" update (Grainger & Stevenson, *Power System
-        Analysis*, §8.4), at O(k n^2) instead of an O(n^3) inverse.
+        A line goes in once one side has every end placed, else it waits on
+        an unplaced end of each side. Its children are the other side's
+        ends, or fresh slots zero-linked to those already placed; ``flips``
+        holds (children, parents) where these are not (to, from). If every
+        line left waits, the first has its unplaced from ends grounded
+        through 1 p.u. until a last link of -1 p.u.
         """
-        k, row = len(switch.phases), self.line_names.index(switch.name)
-        a = np.zeros((k, len(self.free)))
-        for cls, sign in ((self.line_fcol[row, :k], 1.0), (self.line_tcol[row, :k], -1.0)):
-            pos = self.free_pos[cls]
-            a[np.arange(k)[pos >= 0], pos[pos >= 0]] += sign
-        u = z @ a.T
-        out = u @ np.linalg.solve(switch.z + a @ u, a @ z)
-        np.subtract(z, out, out=out)  # in place: one n x n temporary less
-        return out
+        n = len(self.free)
+        ends = [(f[:k], t[:k]) for f, t, k in zip(parent, child, self.line_live.sum(1).tolist())]
+        lev = [-1] * n + [0]  # per slot; the slack, slot -1, is placed
+        levels, flips, links, grounded, waiting, done = [], {}, [], [], {}, set()
+        queue, at = list(range(len(ends))), 0
+        while len(done) < len(ends):
+            if at == len(queue):
+                queue.append(l := next(l for l in range(len(ends)) if l not in done))
+                for a in ends[l][0]:
+                    if lev[a] < 0:
+                        lev[a] = 1
+                        grounded.append(a)
+                        queue += waiting.pop(a, [])
+            l, at = queue[at], at + 1
+            if l in done:
+                continue
+            f, t = ends[l]
+            if lev[f[0]] < 0 and lev[t[0]] < 0:  # the wait below, found cheaply
+                waiting.setdefault(f[0], []).append(l)
+                waiting.setdefault(t[0], []).append(l)
+                continue
+            near = [lev[a] for a in f]
+            if min(near) < 0:
+                far = [lev[b] for b in t]
+                if min(far) < 0:
+                    waiting.setdefault(f[near.index(-1)], []).append(l)
+                    waiting.setdefault(t[far.index(-1)], []).append(l)
+                    continue
+                f, t, near = t, f, far  # in by the to ends
+            done.add(l)
+            lvl = max(near) + 1
+            if lvl > len(levels):
+                levels.append([])
+            levels[lvl - 1].append(l)
+            new = []
+            for c in t:
+                if lev[c] < 0:
+                    lev[c] = lvl
+                    if c in waiting:
+                        queue += waiting.pop(c)
+                else:
+                    links.append(([n], [c], np.zeros((1, 1))))
+                    c, n = n, n + 1
+                new.append(c)
+            if new != ends[l][1]:
+                flips[l] = (new, f)
+        if grounded:
+            links.append((grounded, [-1] * len(grounded), -np.eye(len(grounded))))
+        return levels, flips, links, grounded, n
 
     def zbus(self, channels: np.ndarray) -> ZBus:
         """Z-bus columns of the free classes that ``channels`` (loads and
@@ -782,8 +812,8 @@ class CompiledFeeder:
         The columns are copied C-ordered: a plain fancy slice is F-ordered,
         and a matrix product over it may then round differently for a batch
         than for a single draw. Every column is taken from the one cached
-        ``Z`` (inverted per component or updated after a closure, see
-        ``z``), so it does not depend on which other columns are asked for.
+        ``Z`` (built, or updated after a closure, see ``z``), so it does not
+        depend on which other columns are asked for.
         """
         cls = np.unique(self.channel_class[np.concatenate([channels, self.vvc_ch])])
         cls = cls[self.free_pos[cls] >= 0]
@@ -906,6 +936,22 @@ class CompiledFeeder:
     def per_line(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Split values over all closed line phases (real then ideal) by line."""
         return {name: flat[sl] for name, sl in zip(self.line_names, self.line_slices)}
+
+
+def _link(z: np.ndarray, frm, to, zk: np.ndarray) -> np.ndarray:
+    """A new ``z`` with a link of k x k impedance ``zk`` from slots ``frm``
+    to slots ``to`` (-1: the slack): the Z-bus "add a link" step, at
+    O(k n^2). With ``A`` the signed incidence (+1 from, -1 to), the link
+    adds ``A^T zk^-1 A`` to ``Y``; by Woodbury, with ``U = Z A^T`` and the
+    k x k ``K = zk + A U``, ``Z' = Z - U K^-1 (A Z)``."""
+    k = len(zk)
+    a = np.zeros((k, len(z)))
+    for ends, sign in ((np.asarray(frm), 1.0), (np.asarray(to), -1.0)):
+        a[np.arange(k)[ends >= 0], ends[ends >= 0]] += sign
+    u = z @ a.T
+    out = u @ np.linalg.solve(zk + a @ u, a @ z)
+    np.subtract(z, out, out=out)  # in place: one n x n temporary less
+    return out
 
 
 def _sum_loads(loads: LoadArrays, bins: np.ndarray, n: int):

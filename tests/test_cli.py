@@ -60,20 +60,30 @@ class TestHelpAndVersion:
         assert proc.returncode == 0
         assert proc.stdout.startswith("ok:")
 
-    def test_validate_imports_no_scipy(self, data_dir):
-        # scipy is a test dependency only; importing it would double start-up
+    @staticmethod
+    def validate_loads(data_dir, package):
+        """The modules of ``package`` that ``validate`` loads in a fresh
+        interpreter."""
         code = ("import sys\n"
                 "from phasorflow.cli import main\n"
                 "rc = main(['validate', sys.argv[1]])\n"
-                "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+                "print(sorted(m for m in sys.modules if m.partition('.')[0] == sys.argv[2]))\n"
                 "sys.exit(rc)\n")
         proc = subprocess.run(
-            [sys.executable, "-c", code, str(data_dir / "ieee37_dual.json")],
+            [sys.executable, "-c", code, str(data_dir / "ieee37_dual.json"), package],
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("ok:")
-        assert proc.stdout.splitlines()[-1] == "[]"
+        return proc.stdout.splitlines()[-1]
+
+    def test_validate_imports_no_scipy(self, data_dir):
+        # scipy is a test dependency only; importing it would double start-up
+        assert self.validate_loads(data_dir, "scipy") == "[]"
+
+    def test_validate_imports_no_multiprocessing(self, data_dir):
+        # only montecarlo --workers needs a process pool
+        assert self.validate_loads(data_dir, "multiprocessing") == "[]"
 
 
 class TestExitCodes:

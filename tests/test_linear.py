@@ -304,7 +304,7 @@ def square_linalg_calls(monkeypatch, sizes):
 
 def square_allocations(monkeypatch, n):
     """Record each ``np.zeros`` or ``np.zeros_like`` that allocates an n x n
-    matrix, by name: how ``Y_ff`` and a blockwise ``Z`` are assembled."""
+    matrix, by name: how a ``Y_ff`` would be assembled."""
     calls = []
 
     def record(name, real):
@@ -349,7 +349,7 @@ class TestFactoredResponse:
             one, _ = linear_response(cf, replace(loads, demand=d).batch())
             assert np.array_equal(x[row], one[0])
 
-    def test_one_factorisation_per_compiled_feeder(self, dual13, monkeypatch):
+    def test_compiled_feeder_inverts_no_free_block(self, dual13, monkeypatch):
         net = replace(dual13)
         n_free = len(net.compiled.free)
         assert n_free == 58
@@ -366,15 +366,12 @@ class TestFactoredResponse:
             build_opf(net, [("1680", "2680")], {"magnitude": 1.0, "angle": 1.0, "effort": 1.0})
 
         solves(net)
-        # The two open feeders meet only at the slack, so Y_ff is two blocks:
-        # one inverse per block, whose Z-bus columns both models read.
-        assert calls == [("inv", (n_free // 2, n_free // 2))] * 2
-        assert allocs == ["zeros", "zeros_like"]  # Y_ff, then Z block by block
-        calls.clear()
-        allocs.clear()
+        # Z is built line by line, so neither Y_ff nor an inverse of it or
+        # of a block of it appears.
+        assert calls == []
+        assert allocs == []
         solves(net.close_switch("tie-1680-2680"))
-        # The closed copy's Z is the open one's updated by the tie's rank,
-        # and its compile assembles no Y_ff.
+        # The closed copy's Z is the open one's updated by the tie's rank.
         assert calls == []
         assert allocs == []
 
@@ -384,10 +381,9 @@ class TestFactoredResponse:
         allocs = square_allocations(monkeypatch, n_free)
         reports = run_sequential_switching(spec37)
         assert len(reports) == 2
-        # two blocks of the open network, then two rank-3 updates; only the
-        # open network assembles Y_ff
-        assert calls == [("inv", (n_free // 2, n_free // 2))] * 2
-        assert allocs == ["zeros", "zeros_like"]
+        # the open network's Z is built, then two rank-3 updates
+        assert calls == []
+        assert allocs == []
 
     def test_residual_audit_catches_a_perturbed_response(self, ieee13):
         net = replace(ieee13)  # its own compile, so the cache below is private

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from phasorflow.model import (
     DerSpec,
+    LineConfig,
     LineSpec,
     LoadSpec,
     Network,
@@ -73,6 +75,14 @@ class TestLineImpedance:
         with pytest.raises(NetworkError, match="singular"):
             LineSpec("x", "y", "ab", [[1e-16 + 0j, 0j], [0j, 1e-15 + 0j]])
         assert not LineSpec("x", "y", "ab", [[1e-14 + 0j, 0j], [0j, 1e-15 + 0j]]).is_ideal
+
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(NetworkError) as err:
+            LineSpec("a", "b", "ab", [[0.1, 0.2], [0.3]])
+        assert str(err.value) == "line a-b: expected a matrix, got rows of lengths [2, 1]"
+        with pytest.raises(NetworkError) as err:
+            LineConfig("ab", [[0.1, 0.2], [0.3]])
+        assert str(err.value) == "config: expected a matrix, got rows of lengths [2, 1]"
 
     @given(st.integers(1, 3), st.integers(0, 2**32 - 1))
     def test_closed_form_determinant_matches_lu(self, k, seed):
@@ -196,16 +206,119 @@ class TestIndex:
         assert class_of(net, ("n1", "a")) != class_of(net, ("n2", "a"))
 
 
-class TestComponents:
-    def test_single_feeders_are_seen_connected_without_labelling(self, ieee13, ieee37):
-        for net in (ieee13, ieee37):
-            assert net.compiled._single_component()
-            assert len(net.compiled._components()) == 1
+def assemble_y_ff(net):
+    """The free-class block of the nodal admittance, summed line by line
+    over ``net.lines`` from each line's own inverse: the matrix whose
+    inverse ``CompiledFeeder.z`` builds without forming it."""
+    cf = net.compiled
+    y = np.zeros((len(cf.free),) * 2, dtype=complex)
+    for ln in net.lines:
+        if not ln.closed or ln.is_ideal:
+            continue
+        y_ln = np.linalg.inv(ln.z)
+        ends = [[cf.free_pos[class_of(net, (node, p))] for p in ln.phases]
+                for node in (ln.from_node, ln.to_node)]
+        for (rows, si), (cols, sj) in itertools.product(zip(ends, (1, -1)), repeat=2):
+            for (i, r), (j, c) in itertools.product(enumerate(rows), enumerate(cols)):
+                if r >= 0 and c >= 0:
+                    y[r, c] += si * sj * y_ln[i, j]
+    return y
 
-    def test_open_dual_feeders_are_labelled(self, dual13, dual37):
-        for net in (dual13, dual37):
-            assert not net.compiled._single_component()
-            assert len(net.compiled._components()) == 2
+
+def assert_z_inverts_y_ff(net):
+    z = net.compiled.z
+    assert np.max(np.abs(z @ assemble_y_ff(net) - np.eye(len(z))), initial=0.0) <= 1e-12
+
+
+# A coupled impedance that is not symmetric, so a transposed or sign-flipped
+# block shows.
+ZC = [[0.02 + 0.06j, 0.01 + 0.03j, 0.008 + 0.025j],
+      [0.011 + 0.028j, 0.021 + 0.062j, 0.009 + 0.027j],
+      [0.007 + 0.024j, 0.01 + 0.029j, 0.019 + 0.058j]]
+ZC2 = [row[:2] for row in ZC[:2]]
+IDEAL1 = [[0j]]
+
+
+def abc_net(extra_nodes, lines):
+    nodes = (NodeSpec("source", "abc"),) + tuple(NodeSpec(n, p) for n, p in extra_nodes)
+    return Network(nodes=nodes, lines=tuple(lines))
+
+
+class TestZBus:
+    """``CompiledFeeder.z`` built line by line against ``Y_ff`` assembled
+    here, on the shapes the walk has a step for."""
+
+    def test_shipped_feeders(self, ieee13, ieee37, dual13, dual37):
+        for net in (ieee13, ieee37, dual13, dual37, dual37.close_switch("tie-1731-2731")):
+            assert_z_inverts_y_ff(net)
+
+    def test_radial_feeder_is_a_path_sum(self):
+        # source -> n1 -> n2: Z is the sum of the impedances two classes share
+        net = abc_net([("n1", "abc"), ("n2", "abc")],
+                      [LineSpec("source", "n1", "abc", ZC, name="l1"),
+                       LineSpec("n1", "n2", "abc", Z3, name="l2")])
+        cf = net.compiled
+        pos = [[cf.free_pos[class_of(net, (n, p))] for p in "abc"] for n in ("n1", "n2")]
+        z1, z12 = np.array(ZC), np.array(ZC) + np.array(Z3)
+        assert np.array_equal(cf.z[np.ix_(pos[0], pos[0])], z1)
+        assert np.array_equal(cf.z[np.ix_(pos[0], pos[1])], z1)
+        assert np.array_equal(cf.z[np.ix_(pos[1], pos[0])], z1)
+        assert np.array_equal(cf.z[np.ix_(pos[1], pos[1])], z12)
+
+    def test_parallel_lines(self):
+        net = abc_net([("n1", "abc"), ("n2", "abc")],
+                      [LineSpec("source", "n1", "abc", ZC, name="l1"),
+                       LineSpec("n1", "n2", "abc", Z3, name="l2"),
+                       LineSpec("n1", "n2", "abc", ZC, name="l3")])
+        assert_z_inverts_y_ff(net)
+
+    def test_line_whose_ends_share_a_class(self):
+        # n1.a and n2.a are one class; l3 joins them and nothing else, l2
+        # joins them on phase a and places n2.b and n2.c
+        for lines in ([LineSpec("n1", "n2", "abc", ZC, name="l2")],
+                      [LineSpec("source", "n2", "abc", ZC, name="l2"),
+                       LineSpec("n1", "n2", "a", Z1, name="l3")]):
+            net = abc_net([("n1", "abc"), ("n2", "abc")],
+                          [LineSpec("source", "n1", "abc", Z3, name="l1"),
+                           LineSpec("n1", "n2", "a", IDEAL1, name="tie")] + lines)
+            assert class_of(net, ("n1", "a")) == class_of(net, ("n2", "a"))
+            assert_z_inverts_y_ff(net)
+
+    def test_partial_line(self):
+        # C.a is B.a through the coupling, so A -> C reaches a placed class
+        # on phase a and new ones on b and c
+        net = abc_net([("A", "abc"), ("B", "abc"), ("C", "abc")],
+                      [LineSpec("source", "A", "abc", ZC, name="sa"),
+                       LineSpec("source", "B", "abc", Z3, name="sb"),
+                       LineSpec("A", "C", "abc", ZC, name="ac"),
+                       LineSpec("B", "C", "a", IDEAL1, name="bc")])
+        assert_z_inverts_y_ff(net)
+
+    def test_line_with_new_ends_on_both_sides(self):
+        # X.a is P.a and Y.b is P.b, so X -> Y places Y.a and X.b
+        net = abc_net([("P", "abc"), ("X", "ab"), ("Y", "ab")],
+                      [LineSpec("source", "P", "abc", Z3, name="sp"),
+                       LineSpec("P", "X", "a", IDEAL1, name="px"),
+                       LineSpec("P", "Y", "b", IDEAL1, name="py"),
+                       LineSpec("X", "Y", "ab", ZC2, name="xy")])
+        assert_z_inverts_y_ff(net)
+
+    def test_lines_that_each_wait_for_the_other(self):
+        # X -> Y waits for an end on phase b, Y -> V for one on phase a; each
+        # holds the other's, so the walk grounds X.b for a while
+        net = abc_net([("P", "abc"), ("X", "ab"), ("Y", "ab"), ("V", "ab")],
+                      [LineSpec("source", "P", "abc", ZC, name="sp"),
+                       LineSpec("P", "X", "a", IDEAL1, name="px"),
+                       LineSpec("P", "V", "b", IDEAL1, name="pv"),
+                       LineSpec("X", "Y", "ab", ZC2, name="xy"),
+                       LineSpec("Y", "V", "ab", ZC2, name="yv")])
+        assert_z_inverts_y_ff(net)
+
+    def test_no_free_class(self):
+        net = abc_net([("n1", "abc")],
+                      [LineSpec("source", "n1", "abc", np.zeros((3, 3)).tolist(), name="tie"),
+                       LineSpec("source", "n1", "abc", ZC, name="l1")])
+        assert net.compiled.z.shape == (0, 0)
 
 
 class TestSwitching:

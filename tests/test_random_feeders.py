@@ -25,6 +25,7 @@ from phasorflow.opf import DispatchConvergenceError, build_opf, kkt_check, solve
 from test_acceptance import flow_error_split
 from test_exact import sweep_reference
 from test_linear import linear_system
+from test_model import assert_z_inverts_y_ff
 
 BASE = load_feeder(DATA / "ieee13.json")
 CONFIGS = sorted(BASE.line_configs.items())
@@ -299,8 +300,21 @@ def test_labelling_matches_a_walk_over_the_ideal_lines(case):
 
 
 @BATTERY
+@given(st.one_of(feeders(), feeders(open_tie=True)))
+def test_z_inverts_y_ff(case):
+    # radial, closed-tie and open-tie feeders; below the ideal head each
+    # subtree of n0 is a component of its own, and with an open tie the
+    # network built closed is checked too
+    net, _, _ = case
+    assert_z_inverts_y_ff(net)
+    if net.open_switches:
+        assert_z_inverts_y_ff(replace(net, lines=tuple(replace(ln, closed=True)
+                                                        for ln in net.lines)))
+
+
+@BATTERY
 @given(st.one_of(feeders(), feeders(open_tie=True)), st.data())
-def test_reader_round_trip_and_component_precheck(case, data):
+def test_reader_round_trip(case, data):
     net, _, _ = case
     # demand-free loads anywhere: one with nothing, one with a capacitor only
     loads = list(net.loads)
@@ -309,6 +323,3 @@ def test_reader_round_trip_and_component_precheck(case, data):
         loads.insert(data.draw(st.integers(0, len(loads))), LoadSpec(node, phase, 0j, cap=cap))
     net = replace(net, loads=tuple(loads))
     assert network_from_dict(network_to_dict(net)) == net
-    # the O(lines) test sees one component only where the labelling does
-    cf = net.compiled
-    assert not cf._single_component() or len(cf._components()) == 1
