@@ -728,8 +728,7 @@ class CompiledFeeder:
         order = [l for level in levels for l in level]
         child, parent, add = child[order], parent[order], self.line_z[order]
         z = np.zeros((n_slots + 1, n_slots + 1), dtype=complex)
-        if grounded:
-            z[grounded, grounded] = 1.0
+        z[grounded, grounded] = 1.0
         block = child % len(z)  # flat positions of each branch's block
         block = block[:, :, None] * len(z) + block[:, None, :]
         end = 0
@@ -750,10 +749,11 @@ class CompiledFeeder:
 
         A line goes in once one side has every end placed, else it waits on
         an unplaced end of each side. Its children are the other side's
-        ends, or fresh slots zero-linked to those already placed; ``flips``
-        holds (children, parents) where these are not (to, from). If every
-        line left waits, the first has its unplaced from ends grounded
-        through 1 p.u. until a last link of -1 p.u.
+        ends, or fresh slots that one zero-impedance link per line merges
+        with those already placed; ``flips`` holds (children, parents)
+        where these are not (to, from). If every line left waits, the first
+        has its unplaced from ends grounded through 1 p.u. until a last
+        link of -1 p.u.
         """
         n = len(self.free)
         ends = [(f[:k], t[:k]) for f, t, k in zip(parent, child, self.line_live.sum(1).tolist())]
@@ -772,10 +772,6 @@ class CompiledFeeder:
             if l in done:
                 continue
             f, t = ends[l]
-            if lev[f[0]] < 0 and lev[t[0]] < 0:  # the wait below, found cheaply
-                waiting.setdefault(f[0], []).append(l)
-                waiting.setdefault(t[0], []).append(l)
-                continue
             near = [lev[a] for a in f]
             if min(near) < 0:
                 far = [lev[b] for b in t]
@@ -789,16 +785,19 @@ class CompiledFeeder:
             if lvl > len(levels):
                 levels.append([])
             levels[lvl - 1].append(l)
-            new = []
+            new, fresh, placed = [], [], []
             for c in t:
                 if lev[c] < 0:
                     lev[c] = lvl
                     if c in waiting:
                         queue += waiting.pop(c)
                 else:
-                    links.append(([n], [c], np.zeros((1, 1))))
+                    fresh.append(n)
+                    placed.append(c)
                     c, n = n, n + 1
                 new.append(c)
+            if fresh:
+                links.append((fresh, placed, np.zeros((len(fresh), len(fresh)))))
             if new != ends[l][1]:
                 flips[l] = (new, f)
         if grounded:

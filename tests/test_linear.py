@@ -9,7 +9,8 @@ import scipy.sparse.linalg as spla
 from phasorflow.exact import solve_exact
 from phasorflow.experiments import run_sequential_switching
 from phasorflow.linear import angle_residual, build_mn, linear_response, solve_linear
-from phasorflow.model import LineSpec, LoadSpec, Network, NodeSpec
+from phasorflow import model
+from phasorflow.model import CompiledFeeder, LineSpec, LoadSpec, Network, NodeSpec
 from phasorflow.opf import build_opf
 
 NOMINAL_ANGLE = {"a": 0.0, "b": -2.0 * math.pi / 3.0, "c": 2.0 * math.pi / 3.0}
@@ -302,6 +303,25 @@ def square_linalg_calls(monkeypatch, sizes):
     return calls
 
 
+def z_builds(monkeypatch):
+    """Record each walk that orders a fresh ``Z`` build, as 1, and each
+    Z-bus link, as its rank."""
+    walks, links = [], []
+    walk, link = CompiledFeeder._walk, model._link
+
+    def record_walk(self, *args):
+        walks.append(1)
+        return walk(self, *args)
+
+    def record_link(z, frm, to, zk):
+        links.append(len(zk))
+        return link(z, frm, to, zk)
+
+    monkeypatch.setattr(CompiledFeeder, "_walk", record_walk)
+    monkeypatch.setattr(model, "_link", record_link)
+    return walks, links
+
+
 def square_allocations(monkeypatch, n):
     """Record each ``np.zeros`` or ``np.zeros_like`` that allocates an n x n
     matrix, by name: how a ``Y_ff`` would be assembled."""
@@ -355,6 +375,7 @@ class TestFactoredResponse:
         assert n_free == 58
         calls = square_linalg_calls(monkeypatch, {n_free, n_free // 2})
         allocs = square_allocations(monkeypatch, n_free)
+        walks, links = z_builds(monkeypatch)
 
         def solves(net):
             solve_exact(net)
@@ -366,24 +387,34 @@ class TestFactoredResponse:
             build_opf(net, [("1680", "2680")], {"magnitude": 1.0, "angle": 1.0, "effort": 1.0})
 
         solves(net)
-        # Z is built line by line, so neither Y_ff nor an inverse of it or
-        # of a block of it appears.
+        # Z is built line by line, once per compile for all three models, so
+        # neither Y_ff nor an inverse of it or of a block of it appears.
         assert calls == []
         assert allocs == []
+        assert walks == [1]
+        assert links == []  # both open feeders are radial: branches only
+        walks.clear()
+        links.clear()
         solves(net.close_switch("tie-1680-2680"))
-        # The closed copy's Z is the open one's updated by the tie's rank.
+        # The closed copy's Z is the open one's updated by the tie's rank,
+        # with no build of its own.
         assert calls == []
         assert allocs == []
+        assert walks == []
+        assert links == [3]
 
     def test_sequential_closures_invert_no_full_y_ff(self, spec37, monkeypatch):
         n_free = 216
         calls = square_linalg_calls(monkeypatch, {n_free, n_free // 2})
         allocs = square_allocations(monkeypatch, n_free)
+        walks, links = z_builds(monkeypatch)
         reports = run_sequential_switching(spec37)
         assert len(reports) == 2
-        # the open network's Z is built, then two rank-3 updates
+        # the open network's Z is built once, then two rank-3 updates
         assert calls == []
         assert allocs == []
+        assert walks == [1]
+        assert links == [3, 3]  # the open network is radial: no link in its build
 
     def test_residual_audit_catches_a_perturbed_response(self, ieee13):
         net = replace(ieee13)  # its own compile, so the cache below is private

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from phasorflow import model
 from phasorflow.model import (
     DerSpec,
     LineConfig,
@@ -239,6 +240,18 @@ ZC2 = [row[:2] for row in ZC[:2]]
 IDEAL1 = [[0j]]
 
 
+def link_ranks(monkeypatch):
+    """Record the rank of each Z-bus link."""
+    ranks, link = [], model._link
+
+    def record(z, frm, to, zk):
+        ranks.append(len(zk))
+        return link(z, frm, to, zk)
+
+    monkeypatch.setattr(model, "_link", record)
+    return ranks
+
+
 def abc_net(extra_nodes, lines):
     nodes = (NodeSpec("source", "abc"),) + tuple(NodeSpec(n, p) for n, p in extra_nodes)
     return Network(nodes=nodes, lines=tuple(lines))
@@ -265,12 +278,14 @@ class TestZBus:
         assert np.array_equal(cf.z[np.ix_(pos[1], pos[0])], z1)
         assert np.array_equal(cf.z[np.ix_(pos[1], pos[1])], z12)
 
-    def test_parallel_lines(self):
+    def test_parallel_lines(self, monkeypatch):
+        ranks = link_ranks(monkeypatch)
         net = abc_net([("n1", "abc"), ("n2", "abc")],
                       [LineSpec("source", "n1", "abc", ZC, name="l1"),
                        LineSpec("n1", "n2", "abc", Z3, name="l2"),
                        LineSpec("n1", "n2", "abc", ZC, name="l3")])
         assert_z_inverts_y_ff(net)
+        assert ranks == [3]  # the second line's three ends, in one link
 
     def test_line_whose_ends_share_a_class(self):
         # n1.a and n2.a are one class; l3 joins them and nothing else, l2
@@ -284,15 +299,17 @@ class TestZBus:
             assert class_of(net, ("n1", "a")) == class_of(net, ("n2", "a"))
             assert_z_inverts_y_ff(net)
 
-    def test_partial_line(self):
+    def test_partial_line(self, monkeypatch):
         # C.a is B.a through the coupling, so A -> C reaches a placed class
         # on phase a and new ones on b and c
+        ranks = link_ranks(monkeypatch)
         net = abc_net([("A", "abc"), ("B", "abc"), ("C", "abc")],
                       [LineSpec("source", "A", "abc", ZC, name="sa"),
                        LineSpec("source", "B", "abc", Z3, name="sb"),
                        LineSpec("A", "C", "abc", ZC, name="ac"),
                        LineSpec("B", "C", "a", IDEAL1, name="bc")])
         assert_z_inverts_y_ff(net)
+        assert ranks == [1]  # phase a's fresh slot merged with B.a
 
     def test_line_with_new_ends_on_both_sides(self):
         # X.a is P.a and Y.b is P.b, so X -> Y places Y.a and X.b
