@@ -116,7 +116,60 @@ def _check_tol(ctx: click.Context, param: click.Parameter, value: float | None):
         raise click.BadParameter(
             f"tolerance {value:g} looser than the {TOLERANCE_CEILING:g} ceiling"
         )
+    if value is not None and not value > 0.0:
+        raise click.BadParameter(f"tolerance {value:g} must be a number above 0")
     return value
+
+
+def _check_finite(ctx: click.Context, param: click.Parameter, value: float):
+    if not math.isfinite(value):
+        raise click.BadParameter(f"{value:g} is not a finite number")
+    return value
+
+
+def _write_result(net: Network, output: str | None, radians: bool, head: Mapping[str, Any],
+                  voltages: Mapping[tuple[str, str], tuple[float, float]],
+                  flows: Mapping[str, tuple[np.ndarray, np.ndarray]],
+                  vvc_q: Mapping[tuple[str, str], float],
+                  e: Mapping[tuple[str, str], float] | None = None) -> None:
+    """Write a power-flow result as its JSON document, or as the flat CSV
+    table when ``output`` names a .csv file.
+
+    ``voltages`` maps each channel to its magnitude and angle in radians,
+    ``flows`` each closed line to its per-phase P and Q, and ``head`` holds
+    the document's solver fields. The linear model's squared magnitudes
+    ``e`` add the table's ``e_pu2`` column.
+    """
+    unit = "rad" if radians else "deg"
+    volts = [(n, p, mag, _angle(angle, radians))
+             for (n, p), (mag, angle) in sorted(voltages.items())]
+    lines = {name: [(ph, float(p_val), float(q_val))
+                    for ph, p_val, q_val in zip(net.line_map[name].phases, *pq)]
+             for name, pq in sorted(flows.items())}
+    if _wants_csv(output):
+        angle_col = f"angle_{unit}"
+        fields = ["node", "phase", "mag_pu", angle_col, "line", "p_pu", "q_pu"]
+        rows: list[dict[str, Any]] = [
+            {"node": n, "phase": p, "mag_pu": repr(mag), angle_col: repr(angle)}
+            for n, p, mag, angle in volts]
+        if e is not None:
+            fields.insert(2, "e_pu2")
+            for row in rows:
+                row["e_pu2"] = repr(e[(row["node"], row["phase"])])
+        rows += [{"line": name, "phase": ph, "p_pu": repr(p_val), "q_pu": repr(q_val)}
+                 for name, phases in lines.items() for ph, p_val, q_val in phases]
+        _write_atomic(output, _csv_text(fields, rows))
+        click.echo(f"wrote {output}")
+        return
+    _emit({
+        "network": net.name,
+        **head,
+        "angle_unit": unit,
+        "voltages": {f"{n}.{p}": {"mag": mag, "angle": angle} for n, p, mag, angle in volts},
+        "line_flows": {name: {ph: [p_val, q_val] for ph, p_val, q_val in phases}
+                       for name, phases in lines.items()},
+        "vvc_q": {f"{n}.{p}": float(q) for (n, p), q in sorted(vvc_q.items())},
+    }, output)
 
 
 def _fail(kind: str, detail: str) -> None:
@@ -179,39 +232,10 @@ def solve(network_file: str, output: str | None, dispatch_file: str | None,
     if max_iter is not None:
         kwargs["max_iter"] = max_iter
     sol = solve_exact(net, dispatch=_load_dispatch(dispatch_file), **kwargs)
-    unit = "rad" if radians else "deg"
-    if _wants_csv(output):
-        angle_col = f"angle_{unit}"
-        fields = ["node", "phase", "mag_pu", angle_col, "line", "p_pu", "q_pu"]
-        rows: list[dict[str, Any]] = [
-            {"node": n, "phase": p, "mag_pu": repr(float(abs(v))),
-             angle_col: repr(_angle(float(np.angle(v)), radians))}
-            for (n, p), v in sorted(sol.V.items())
-        ]
-        for name, arr in sorted(sol.S_line.items()):
-            for ph, s in zip(net.line_map[name].phases, arr):
-                rows.append({"line": name, "phase": ph,
-                             "p_pu": repr(float(s.real)), "q_pu": repr(float(s.imag))})
-        _write_atomic(output, _csv_text(fields, rows))
-        click.echo(f"wrote {output}")
-        return
-    doc = {
-        "network": net.name,
-        "iterations": sol.iterations,
-        "residual_norm": sol.residual_norm,
-        "angle_unit": unit,
-        "voltages": {
-            f"{n}.{p}": {"mag": float(abs(v)), "angle": _angle(float(np.angle(v)), radians)}
-            for (n, p), v in sorted(sol.V.items())
-        },
-        "line_flows": {
-            name: {ph: [float(s.real), float(s.imag)]
-                   for ph, s in zip(net.line_map[name].phases, arr)}
-            for name, arr in sorted(sol.S_line.items())
-        },
-        "vvc_q": {f"{n}.{p}": float(q) for (n, p), q in sorted(sol.vvc_q.items())},
-    }
-    _emit(doc, output)
+    _write_result(net, output, radians, {"iterations": sol.iterations,
+                                         "residual_norm": sol.residual_norm},
+                  {ch: (abs(v), float(np.angle(v))) for ch, v in sol.V.items()},
+                  {name: (s.real, s.imag) for name, s in sol.S_line.items()}, sol.vvc_q)
 
 
 @cli.command()
@@ -230,40 +254,9 @@ def linearize(network_file: str, output: str | None, dispatch_file: str | None,
     if sol.E[low] < 0.0:
         raise ValueError(f"the linear model gives {low[0]}.{low[1]} a negative squared "
                          f"magnitude {sol.E[low]:.6g}: no voltage magnitude exists there")
-    if _wants_csv(output):
-        angle_col = "angle_rad" if radians else "angle_deg"
-        fields = ["node", "phase", "e_pu2", "mag_pu", angle_col, "line", "p_pu", "q_pu"]
-        rows: list[dict[str, Any]] = [
-            {"node": n, "phase": p, "e_pu2": repr(float(e)),
-             "mag_pu": repr(math.sqrt(e)),
-             angle_col: repr(_angle(float(sol.theta[(n, p)]), radians))}
-            for (n, p), e in sorted(sol.E.items())
-        ]
-        for name in sorted(sol.P):
-            for ph, p_val, q_val in zip(net.line_map[name].phases, sol.P[name], sol.Q[name]):
-                rows.append({"line": name, "phase": ph,
-                             "p_pu": repr(float(p_val)), "q_pu": repr(float(q_val))})
-        _write_atomic(output, _csv_text(fields, rows))
-        click.echo(f"wrote {output}")
-        return
-    doc = {
-        "network": net.name,
-        "residual_norm": sol.residual_norm,
-        "angle_unit": "rad" if radians else "deg",
-        "voltages": {
-            f"{n}.{p}": {"mag": math.sqrt(e), "angle": _angle(float(sol.theta[(n, p)]), radians)}
-            for (n, p), e in sorted(sol.E.items())
-        },
-        "line_flows": {
-            name: {
-                ph: [float(p_val), float(q_val)]
-                for ph, p_val, q_val in zip(net.line_map[name].phases, sol.P[name], sol.Q[name])
-            }
-            for name in sorted(sol.P)
-        },
-        "vvc_q": {f"{n}.{p}": float(q) for (n, p), q in sorted(sol.vvc_q.items())},
-    }
-    _emit(doc, output)
+    _write_result(net, output, radians, {"residual_norm": sol.residual_norm},
+                  {ch: (math.sqrt(e), sol.theta[ch]) for ch, e in sol.E.items()},
+                  {name: (sol.P[name], sol.Q[name]) for name in sol.P}, sol.vvc_q, e=sol.E)
 
 
 @cli.command()
@@ -277,7 +270,7 @@ def linearize(network_file: str, output: str | None, dispatch_file: str | None,
 @click.option("--rho-w", type=float, default=1.0, show_default=True,
               help="Weight on dispatch effort.")
 @click.option("--penalty", type=click.FloatRange(min_open=True, min=0.0), default=1.0,
-              show_default=True,
+              show_default=True, callback=_check_finite,
               help="Starting splitting penalty; the solver rebalances it as it runs.")
 @click.option("--tol", type=float, default=None, callback=_check_tol,
               help="Solver residual tolerance (at most 1e-6; default 1e-9).")
@@ -319,9 +312,13 @@ def _parse_grid(text: str) -> list[float]:
     if len(parts) != 3:
         raise click.BadParameter("--grid must be LO:HI:STEP")
     lo, hi, step = (float(p) for p in parts)
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise click.BadParameter("--grid needs finite LO, HI and STEP")
     if step <= 0 or hi < lo:
         raise click.BadParameter("--grid needs STEP > 0 and HI >= LO")
-    count = int(round((hi - lo) / step))
+    if not math.isfinite(span := (hi - lo) / step):
+        raise click.BadParameter(f"--grid {text} spans {span:g} steps")
+    count = int(round(span))
     points = [round(lo + k * step, 12) for k in range(count + 1)]
     if points[-1] > hi + 1e-12:
         points.pop()

@@ -26,9 +26,11 @@ segment (Qi & Sun 1993), and one run settles voltages and volt-var together.
 
 The network enters through its ``CompiledFeeder``, which caches ``Z``, and
 loads arrive as per-class vectors, so a sweep over loads reuses one
-compile. Newton runs on a batch of load draws at once, each draw with its
-own step, line search and stopping point; a single solve is a batch of
-one, so a draw solved in a sweep is bit for bit the draw solved alone.
+compile; a dispatch is one more fixed-power load row, resolved once in
+``CompiledFeeder.load_arrays``. Newton runs on a batch of load draws at
+once, each draw with its own step, line search and stopping point; a
+single solve is a batch of one, so a draw solved in a sweep is bit for bit
+the draw solved alone.
 """
 
 from __future__ import annotations
@@ -113,8 +115,8 @@ def evaluate(cf: CompiledFeeder, zb: ZBus, inj,
              x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The iterate that loaded-class voltages ``x`` (draws, nl) stand for.
 
-    ``inj`` holds the per-class (s_const, s_zmag, s_fixed) loads and
-    dispatch, no volt-var. Returns the class voltages, with every other free
+    ``inj`` holds the per-class (s_const, s_zmag, s_fixed) loads, dispatch
+    included, no volt-var. Returns the class voltages, with every other free
     class at ``v_flat - Z i_L(x)``; their current mismatch at every free
     class; and the Z-bus residual ``F(x) = x - v_flat_L + Z_LL i_L(x)``.
 
@@ -176,20 +178,17 @@ class NewtonBatch:
     error: list[str | None]
 
 
-def newton_batch(cf: CompiledFeeder, loads: LoadArrays,
-                 dispatch: Mapping[Channel, complex] | None = None, tol: float = 1e-10,
+def newton_batch(cf: CompiledFeeder, loads: LoadArrays, tol: float = 1e-10,
                  max_iter: int = 50) -> NewtonBatch:
-    """Z-bus Newton on every draw of ``loads`` (a row of ``loads.demand``), each
-    with the same ``dispatch``.
+    """Z-bus Newton on every draw of ``loads`` (a row of ``loads.demand``).
 
     Draws share the array work but nothing else: each keeps its own
     backtracking step and stops on its own. A singular Jacobian, a stalled
     line search or the iteration cap fails that draw only.
     """
-    dispatch = {k: complex(w) for k, w in (dispatch or {}).items()}
     loads = loads.batch()
-    inj = np.array(_injections(cf, loads, dispatch))  # (3, draws, n_cls)
-    zb = cf.zbus(np.concatenate([loads.channel, cf.dispatch_index(dispatch)]))
+    inj = np.array(cf.class_loads(loads))  # (3, draws, n_cls)
+    zb = cf.zbus(loads.channel)
     n_draws = inj.shape[1]
     nl = len(zb.cls)
     chunk = max(1, JACOBIAN_STACK_BYTES // (8 * (2 * nl) ** 2)) if nl else 1
@@ -279,15 +278,6 @@ def newton_batch(cf: CompiledFeeder, loads: LoadArrays,
     return NewtonBatch(v=v_out, steps=steps, residual=residual, history=history, error=error)
 
 
-def _injections(cf: CompiledFeeder, loads: LoadArrays,
-                dispatch: dict[Channel, complex]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-class (s_const, s_zmag, s_fixed) of a load batch, dispatch in s_fixed."""
-    s_const, s_zmag, s_fixed = cf.class_loads(loads)
-    for k, w in zip(cf.channel_class[cf.dispatch_index(dispatch)].tolist(), dispatch.values()):
-        s_fixed[..., k] += w
-    return s_const, s_zmag, s_fixed
-
-
 def solve_exact(
     net: Network,
     dispatch: Mapping[Channel, complex] | None = None,
@@ -302,11 +292,11 @@ def solve_exact(
     """
     cf = net.compiled
     dispatch = {k: complex(v) for k, v in (dispatch or {}).items()}
-    loads = cf.load_arrays(net.loads).batch()
-    out = newton_batch(cf, loads, dispatch, tol, max_iter)
+    loads = cf.load_arrays(net.loads, dispatch).batch()
+    out = newton_batch(cf, loads, tol, max_iter)
     if out.error[0] is not None:
         raise NonConvergenceError(out.error[0], out.history[0])
-    st = exact_state(cf, loads, out.v, dispatch)
+    st = exact_state(cf, loads, out.v)
     units = cf.vvc_units
     # Channels can share a class but vvc channels are distinct per unit.
     vvc_q = {(u.node, u.phase): float(qi) for u, qi in zip(units, st.vvc_q[0])}
@@ -337,12 +327,11 @@ class ExactState:
     vvc_q: np.ndarray
 
 
-def exact_state(cf: CompiledFeeder, loads: LoadArrays, v_cls: np.ndarray,
-                dispatch: Mapping[Channel, complex]) -> ExactState:
+def exact_state(cf: CompiledFeeder, loads: LoadArrays, v_cls: np.ndarray) -> ExactState:
     """Channel and line quantities at class voltages ``v_cls`` (draws, n_cls)."""
     v_ch = v_cls[..., cf.channel_class]
     q = cf.vvc_droop(np.abs(v_cls[..., cf.vvc_cls]))[0]
-    s_ch = cf.channel_power(loads, np.abs(v_ch) ** 2, q, dispatch)
+    s_ch = cf.channel_power(loads, np.abs(v_ch) ** 2, q)
     i_real = cf.line_currents(v_cls)
     i_all = np.concatenate([i_real, cf.ideal_flows(np.conj(s_ch / v_ch), i_real)], axis=-1)
     s_all = v_ch[..., cf.line_to_ch] * np.conj(i_all)
@@ -360,7 +349,7 @@ def kcl_residual(net: Network, sol: PhasorSolution) -> float:
     cf = net.compiled
     v = np.array([sol.V[ch] for ch in net.channels])
     q = np.array([sol.vvc_q[(u.node, u.phase)] for u in net.vvc_units])
-    s = cf.channel_power(cf.load_arrays(net.loads), np.abs(v) ** 2, q, sol.dispatch)
+    s = cf.channel_power(cf.load_arrays(net.loads, sol.dispatch), np.abs(v) ** 2, q)
     bal = dict(zip(net.channels, (-np.conj(s / v)).tolist()))
     for ln in net.lines:
         if not ln.closed:

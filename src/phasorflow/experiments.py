@@ -110,7 +110,7 @@ def _mc_cell(payload) -> list[ErrorRecord]:
     n = len(channels)
     demand = _mc_demand(rng, per_cell, n, dr, di)
     loads = LoadArrays(channels, demand, np.full(n, MC_BETA_S), np.full(n, MC_BETA_Z),
-                       np.zeros(n))
+                       np.zeros(n, dtype=complex))
     return _mc_records(net, loads, dr, di)
 
 
@@ -127,8 +127,8 @@ def _mc_records(net: Network, loads: LoadArrays, dr: float, di: float) -> list[E
     eps = np.full((4, len(ok)), np.nan)
     if ok.any():
         kept = LoadArrays(loads.channel, loads.demand[ok], loads.beta_s, loads.beta_z,
-                          loads.cap)
-        exact = exact_state(cf, kept, newton.v[ok], {})
+                          loads.fixed)
+        exact = exact_state(cf, kept, newton.v[ok])
         approx = linear_state(cf, kept, linear_response(cf, kept)[0])
         eps[:3, ok] = _errors(exact.V, approx.E, approx.theta, exact.S_line,
                               approx.P + 1j * approx.Q)

@@ -30,6 +30,9 @@ E (constant-impedance load or volt-var) first solve one real |W| x |W|
 system for E_W. So the linear model reads the same cached Z-bus columns as
 Newton and factors nothing of its own; every solve is checked against the
 drop and balance rows written from ``build_mn`` and the flow incidence.
+
+A dispatch enters ``d`` as one more fixed-power load row, resolved once in
+``CompiledFeeder.load_arrays``, as it does for Newton.
 """
 
 from __future__ import annotations
@@ -99,8 +102,7 @@ class LinearState:
     vvc_q: np.ndarray
 
 
-def linear_state(cf: CompiledFeeder, loads: LoadArrays, x: np.ndarray,
-                 dispatch: Mapping[Channel, complex] | None = None) -> LinearState:
+def linear_state(cf: CompiledFeeder, loads: LoadArrays, x: np.ndarray) -> LinearState:
     """Read channel and line quantities off the states ``x`` (draws, n_state)."""
     n, n_flow = cf.n_cls, cf.n_flow
     e_ch = x[..., :n][..., cf.channel_class]
@@ -108,9 +110,8 @@ def linear_state(cf: CompiledFeeder, loads: LoadArrays, x: np.ndarray,
     p_real = x[..., 2 * n : 2 * n + n_flow]
     q_real = x[..., 2 * n + n_flow :]
 
-    dispatch = {k_: complex(v) for k_, v in (dispatch or {}).items()}
     q_vvc = cf.vvc_k0 + cf.vvc_k1 * e_ch[..., cf.vvc_ch]
-    s_ch = cf.channel_power(loads, e_ch, q_vvc, dispatch)
+    s_ch = cf.channel_power(loads, e_ch, q_vvc)
     ideal = cf.ideal_flows(s_ch, p_real + 1j * q_real)
     return LinearState(E=e_ch, theta=t_ch,
                        P=np.concatenate([p_real, ideal.real], axis=-1),
@@ -119,9 +120,9 @@ def linear_state(cf: CompiledFeeder, loads: LoadArrays, x: np.ndarray,
 
 
 def _solution(cf: CompiledFeeder, loads: LoadArrays, x: np.ndarray,
-              dispatch: Mapping[Channel, complex] | None, residual: float) -> LinearSolution:
+              residual: float) -> LinearSolution:
     """The ``LinearSolution`` of a batch of one state."""
-    st = linear_state(cf, loads.batch(), x, dispatch)
+    st = linear_state(cf, loads.batch(), x)
     units = cf.vvc_units
     return LinearSolution(
         E=dict(zip(cf.channels, st.E[0].tolist())),
@@ -143,16 +144,12 @@ def solve_linear(
     Dispatch is consumption-positive, matching the exact solver.
     """
     cf = net.compiled
-    loads = cf.load_arrays(net.loads)
-    x, res = linear_response(cf, loads.batch(), dispatch)
-    return _solution(cf, loads, x, dispatch, float(res[0]))
+    loads = cf.load_arrays(net.loads, dispatch)
+    x, res = linear_response(cf, loads.batch())
+    return _solution(cf, loads, x, float(res[0]))
 
 
-def linear_response(
-    cf: CompiledFeeder,
-    loads: LoadArrays,
-    dispatch: Mapping[Channel, complex] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def linear_response(cf: CompiledFeeder, loads: LoadArrays) -> tuple[np.ndarray, np.ndarray]:
     """States (draws, n_state) and residuals (draws,) for a batch of loads.
 
     Every product that forms a draw's state is a stacked matrix-vector
@@ -160,9 +157,8 @@ def linear_response(
     depend on the batch around it. Raises ``RuntimeError`` when any draw's
     ``A x - b`` exceeds ``LINEAR_RESIDUAL_TOL``.
     """
-    dispatch = {k: complex(v) for k, v in (dispatch or {}).items()}
-    d, c = _draws(cf, loads, dispatch)
-    zb, coupled = _columns(cf, loads, cf.dispatch_index(dispatch))
+    d, c = _draws(cf, loads)
+    zb, coupled = _columns(cf, loads)
     delta = np.zeros(d.shape, dtype=complex)
     delta[:, cf.free] = _nodal(cf, zb, coupled, True, d[:, zb.cls], c[:, zb.cls])
     x = _state(cf, delta)
@@ -180,7 +176,7 @@ def control_response(cf: CompiledFeeder, loads: LoadArrays, channels: Sequence[C
     reactive one. All come from the same Z-bus columns.
     """
     loads = loads.batch()
-    d, c = _draws(cf, loads, {})
+    d, c = _draws(cf, loads)
     pos = cf.dispatch_index(channels)
     zb, coupled = _columns(cf, loads, pos)
     k = len(pos)
@@ -197,34 +193,31 @@ def control_response(cf: CompiledFeeder, loads: LoadArrays, channels: Sequence[C
 
 
 def class_solution(cf: CompiledFeeder, loads: LoadArrays, dx: np.ndarray,
-                   dispatch: Mapping[Channel, complex], residual_tol: float) -> LinearSolution:
+                   residual_tol: float) -> LinearSolution:
     """The audited ``LinearSolution`` whose class rows ``[E; Theta]`` sit
-    ``dx`` off the flat state, under ``loads`` and ``dispatch``."""
+    ``dx`` off the flat state, under ``loads``."""
     n = cf.n_cls
     x = _state(cf, (dx[:n] / 2.0 - 1j * dx[n:])[None])
-    d, c = _draws(cf, loads.batch(), dispatch)
-    return _solution(cf, loads, x, dispatch, float(_audit(cf, x, d, c, residual_tol)[0]))
+    d, c = _draws(cf, loads.batch())
+    return _solution(cf, loads, x, float(_audit(cf, x, d, c, residual_tol)[0]))
 
 
-def _draws(cf: CompiledFeeder, loads: LoadArrays,
-           dispatch: Mapping[Channel, complex]) -> tuple[np.ndarray, np.ndarray]:
+def _draws(cf: CompiledFeeder, loads: LoadArrays) -> tuple[np.ndarray, np.ndarray]:
     """Per-class draw ``d`` and E coefficient ``c`` (draws, n_cls): a free
     class consumes ``d + c E`` in the linear model."""
     s_const, s_zmag, s_fixed = cf.class_loads(loads)
     d = s_const + s_fixed
-    for k, w in zip(cf.channel_class[cf.dispatch_index(dispatch)].tolist(), dispatch.values()):
-        d[..., k] += w
     k0, k1 = np.zeros(cf.n_cls), np.zeros(cf.n_cls)
     np.add.at(k0, cf.vvc_cls, cf.vvc_k0)
     np.add.at(k1, cf.vvc_cls, cf.vvc_k1)
     return d + 1j * k0, s_zmag + 1j * k1
 
 
-def _columns(cf: CompiledFeeder, loads: LoadArrays, channels) -> tuple[ZBus, np.ndarray]:
-    """Z-bus columns at the classes that draw power (``loads``, the extra
-    ``channels`` and the volt-var units), and the positions among them of
-    the E-coupled classes: constant-impedance load or volt-var."""
-    zb = cf.zbus(np.concatenate([loads.channel, channels]))
+def _columns(cf: CompiledFeeder, loads: LoadArrays, extra=None) -> tuple[ZBus, np.ndarray]:
+    """Z-bus columns at the classes that draw power (``loads``, the ``extra``
+    channel positions and the volt-var units), and the positions among them
+    of the E-coupled classes: constant-impedance load or volt-var."""
+    zb = cf.zbus(loads.channel if extra is None else np.concatenate([loads.channel, extra]))
     coupled = np.concatenate([cf.channel_class[loads.channel[loads.beta_z != 0]], cf.vvc_cls])
     return zb, np.flatnonzero(np.isin(zb.cls, coupled))
 

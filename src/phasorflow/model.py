@@ -15,9 +15,10 @@ A network compiles once (``Network.compiled``). ``NetworkIndex`` labels
 the channels with their classes, pins the slack's classes and orders the
 ideal couplings for flow recovery. ``CompiledFeeder`` adds the padded
 per-line arrays (impedance, admittance, end classes), on first use the
-Z-bus ``Z`` of the free classes, and ``dispatch_index``, the one place a
-dispatch channel is resolved: both solvers and the dispatch QP reject an
-unknown channel, or one tied to the slack, there.
+Z-bus ``Z`` of the free classes, and ``dispatch_index``, which resolves
+every dispatch and DER channel and rejects an unknown one, or one tied to
+the slack. ``load_arrays`` resolves a dispatch once, as one more
+fixed-power load row, like a capacitor's, that every model reads.
 """
 
 from __future__ import annotations
@@ -74,22 +75,30 @@ def _canonical(items: tuple) -> tuple[str, ...]:
 
 
 def _as_complex_matrix(z, n: int, context: str) -> tuple[tuple[complex, ...], ...]:
-    """``z`` as an n x n tuple of complex rows. Rows that already hold
-    Python complex numbers, as the document reader builds them, are taken
-    as they are; anything else goes through numpy, once rows of unequal
-    lengths are rejected."""
+    """``z`` as an n x n tuple of finite complex rows. Rows that already
+    hold Python complex numbers, as the document reader builds them, are
+    taken as they are; anything else goes through numpy, once rows of
+    unequal lengths are rejected."""
     if (type(z) in (list, tuple) and len(z) == n
             and all(type(row) in (list, tuple) and len(row) == n
                     and all(type(v) is complex for v in row) for row in z)):
-        return tuple(map(tuple, z))
-    if (type(z) in (list, tuple) and all(type(row) in (list, tuple) for row in z)
-            and len({len(row) for row in z}) > 1):
-        raise NetworkError(f"{context}: expected a matrix, got rows of lengths "
-                           f"{[len(row) for row in z]}")
-    arr = np.asarray(z, dtype=complex)
-    if arr.shape != (n, n):
-        raise NetworkError(f"{context}: impedance must be {n}x{n}, got {arr.shape}")
-    return tuple(tuple(complex(v) for v in row) for row in arr)
+        out = tuple(map(tuple, z))
+    else:
+        if (type(z) in (list, tuple) and all(type(row) in (list, tuple) for row in z)
+                and len({len(row) for row in z}) > 1):
+            raise NetworkError(f"{context}: expected a matrix, got rows of lengths "
+                               f"{[len(row) for row in z]}")
+        try:
+            arr = np.asarray(z, dtype=complex)
+        except (TypeError, ValueError):
+            raise NetworkError(f"{context}: impedance entries must be numbers, "
+                               f"got {z!r}") from None
+        if arr.shape != (n, n):
+            raise NetworkError(f"{context}: impedance must be {n}x{n}, got {arr.shape}")
+        out = tuple(tuple(complex(v) for v in row) for row in arr)
+    if bad := [v for row in out for v in row if not cmath.isfinite(v)]:
+        raise NetworkError(f"{context}: impedance entry {bad[0]} is not finite")
+    return out
 
 
 def _det(z: tuple[tuple[complex, ...], ...]) -> complex:
@@ -174,7 +183,15 @@ class LoadSpec:
             raise NetworkError(f"load at {self.node}.{self.phase}: beta_s + beta_z must equal 1")
         if not (0.0 <= self.beta_s <= 1.0 and 0.0 <= self.beta_z <= 1.0):
             raise NetworkError(f"load at {self.node}.{self.phase}: betas must lie in [0, 1]")
-        object.__setattr__(self, "demand", complex(self.demand))
+        try:
+            demand = complex(self.demand)
+            finite = cmath.isfinite(demand) and math.isfinite(self.cap)
+        except (TypeError, ValueError):
+            finite = False
+        if not finite:
+            raise NetworkError(f"load at {self.node}.{self.phase}: demand and cap must be finite "
+                               f"numbers, got {self.demand!r} and {self.cap!r}")
+        object.__setattr__(self, "demand", demand)
 
 
 @dataclass(frozen=True)
@@ -561,17 +578,18 @@ def _rotate_conj(z: np.ndarray, phase: np.ndarray) -> np.ndarray:
 class LoadArrays:
     """Loads as parallel arrays, one entry per load.
 
-    ``channel`` indexes ``Network.channels``. Each load consumes
-    ``(beta_s + beta_z * |V|^2) * demand - 1j * cap``. ``demand`` may carry
-    a leading batch axis, one row per draw of a sweep; every other field is
-    shared by the whole batch.
+    ``channel`` indexes ``Network.channels``. Each row consumes
+    ``(beta_s + beta_z * |V|^2) * demand + fixed``: a load's ``fixed`` is
+    its capacitor's ``-1j * cap``, and a dispatch row has demand 0 and
+    ``fixed = w``. ``demand`` may carry a leading batch axis, one row per
+    draw of a sweep; every other field is shared by the whole batch.
     """
 
     channel: np.ndarray
     demand: np.ndarray
     beta_s: np.ndarray
     beta_z: np.ndarray
-    cap: np.ndarray
+    fixed: np.ndarray
 
     def batch(self) -> "LoadArrays":
         """These loads as a batch: one draw unless ``demand`` already has rows."""
@@ -600,8 +618,8 @@ class CompiledFeeder:
     closure), the ideal-coupling recovery order, and (on first use)
     the rotated line arrays of the linear model. ``dispatch_index`` is the
     one place a dispatch channel is resolved. Loads are not compiled:
-    every solve passes them as ``LoadArrays``, so a sweep that only changes
-    loads reuses one compile.
+    every solve passes them, dispatch included, as ``LoadArrays``, so a
+    sweep that only changes loads reuses one compile.
     The per-class and per-line helpers take arrays with any leading batch
     axes and treat every row alike.
     """
@@ -863,41 +881,37 @@ class CompiledFeeder:
         q = np.where(lo, self.vvc_qmin, np.where(hi, self.vvc_qmax, ramp))
         return q, np.where(lo | hi, 0.0, self.vvc_slope)
 
-    def load_arrays(self, loads: Sequence[LoadSpec]) -> LoadArrays:
-        """``LoadArrays`` of load specs on this network's channels."""
+    def load_arrays(self, loads: Sequence[LoadSpec],
+                    dispatch: Mapping[tuple[str, str], complex] | None = None) -> LoadArrays:
+        """``LoadArrays`` of load specs on this network's channels, then one
+        row per ``dispatch`` channel (consumption-positive), in its order."""
+        dispatch = dispatch or {}
+        w = [complex(v) for v in dispatch.values()]
+        pad = [0.0] * len(w)
         return LoadArrays(
-            channel=np.array([self.channel_pos[(ld.node, ld.phase)] for ld in loads], dtype=int),
-            demand=np.array([ld.demand for ld in loads], dtype=complex),
-            beta_s=np.array([ld.beta_s for ld in loads], dtype=float),
-            beta_z=np.array([ld.beta_z for ld in loads], dtype=float),
-            cap=np.array([ld.cap for ld in loads], dtype=float),
+            channel=np.concatenate([
+                np.array([self.channel_pos[(ld.node, ld.phase)] for ld in loads], dtype=int),
+                self.dispatch_index(dispatch)]),
+            demand=np.array([ld.demand for ld in loads] + pad, dtype=complex),
+            beta_s=np.array([ld.beta_s for ld in loads] + pad, dtype=float),
+            beta_z=np.array([ld.beta_z for ld in loads] + pad, dtype=float),
+            fixed=np.array([-1j * ld.cap for ld in loads] + w, dtype=complex),
         )
 
     def class_loads(self, loads: LoadArrays) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-class load vectors (s_const, s_zmag, s_fixed).
 
         A class consumes ``s_const + s_zmag * |V|^2 + s_fixed``; s_fixed
-        holds the capacitors.
+        holds the capacitors and the dispatch.
         """
         return _sum_loads(loads, self.channel_class[loads.channel], self.n_cls)
 
-    def channel_power(
-        self,
-        loads: LoadArrays,
-        e: np.ndarray,
-        vvc_q: np.ndarray,
-        dispatch: Mapping[tuple[str, str], complex],
-    ) -> np.ndarray:
-        """Complex power consumed per channel at squared magnitudes ``e``.
-
-        Adds the volt-var draw ``vvc_q`` (one entry per unit) and the
-        controllable ``dispatch`` to the loads.
-        """
+    def channel_power(self, loads: LoadArrays, e: np.ndarray, vvc_q: np.ndarray) -> np.ndarray:
+        """Complex power consumed per channel at squared magnitudes ``e``:
+        the loads plus the volt-var draw ``vvc_q`` (one entry per unit)."""
         s_const, s_zmag, s_fixed = _sum_loads(loads, loads.channel, len(self.channels))
         s = s_const + s_zmag * e + s_fixed
         np.add.at(s, (..., self.vvc_ch), 1j * vvc_q)
-        for i, w in zip(self.dispatch_index(dispatch).tolist(), dispatch.values()):
-            s[..., i] += w
         return s
 
     def line_currents(self, v: np.ndarray) -> np.ndarray:
@@ -960,7 +974,7 @@ def _sum_loads(loads: LoadArrays, bins: np.ndarray, n: int):
     s_fixed = np.zeros(shape, dtype=complex)
     np.add.at(s_const, (..., bins), loads.beta_s * loads.demand)
     np.add.at(s_zmag, (..., bins), loads.beta_z * loads.demand)
-    np.add.at(s_fixed, (..., bins), -1j * loads.cap)
+    np.add.at(s_fixed, (..., bins), loads.fixed)
     return s_const, s_zmag, s_fixed
 
 

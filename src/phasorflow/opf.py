@@ -11,6 +11,7 @@ projections are closed-form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -60,8 +61,7 @@ class _ReducedModel:
     def __init__(self, net: Network, targets: Sequence[tuple[str, str]],
                  channels: Sequence[Channel]):
         cf = net.compiled
-        self.loads = cf.load_arrays(net.loads)
-        self.x0, self.dx0, self.B = control_response(cf, self.loads, channels)
+        self.x0, self.dx0, self.B = control_response(cf, cf.load_arrays(net.loads), channels)
 
         n_cls = cf.n_cls
         diff_e: list[np.ndarray] = []
@@ -168,19 +168,21 @@ def build_opf(net: Network, targets: Sequence[tuple[str, str]],
               e_min: float = 0.9025, e_max: float = 1.1025) -> OpfProblem:
     """Validate inputs and precompute the reduced control response.
 
-    ``weights`` maps "magnitude"/"angle"/"effort" to nonnegative penalties;
-    missing keys default to zero, all-zero weights are rejected. Voltage
-    bounds are on squared magnitude (defaults 0.95^2 and 1.05^2). A DER
-    channel tied to the slack raises ``NetworkError``.
+    ``weights`` maps "magnitude"/"angle"/"effort" to finite nonnegative
+    penalties; missing keys default to zero, all-zero weights are rejected.
+    Voltage bounds are finite, on squared magnitude (defaults 0.95^2 and
+    1.05^2). A DER channel tied to the slack raises ``NetworkError``.
     """
     unknown = set(weights) - set(WEIGHT_KEYS)
     if unknown:
         raise ValueError(f"unknown weight keys: {sorted(unknown)}")
     rho = {k: float(weights.get(k, 0.0)) for k in WEIGHT_KEYS}
-    if not all(v >= 0.0 for v in rho.values()):
+    if not all(0.0 <= v < math.inf for v in rho.values()):
         raise ValueError("weights must be nonnegative numbers")
     if all(v == 0.0 for v in rho.values()):
         raise ValueError("degenerate weights: all zero")
+    if not (math.isfinite(e_min) and math.isfinite(e_max)):
+        raise ValueError(f"voltage bounds must be finite, got e_min {e_min} and e_max {e_max}")
     if not e_min < e_max:
         raise ValueError("e_min must be below e_max")
     for k1, k2 in targets:
@@ -352,7 +354,8 @@ def _finish(prob: OpfProblem, c: np.ndarray, multipliers: np.ndarray,
     objective = (prob.rho_mag * c_mag + prob.rho_angle * c_angle
                  + prob.rho_effort * c_effort)
 
-    linear = class_solution(prob.network.compiled, mdl.loads, mdl.dx0 + mdl.B @ c, w, 1e-8)
+    cf, loads = prob.network.compiled, prob.network.loads
+    linear = class_solution(cf, cf.load_arrays(loads, w), mdl.dx0 + mdl.B @ c, 1e-8)
 
     return Dispatch(
         w=w,

@@ -173,6 +173,38 @@ class TestExitCodes:
                        "--penalty", "0")
         assert rc == 64
 
+    @pytest.mark.parametrize("argv, detail", [
+        (["solve", "ieee13", "--tol", "nan"],
+         "Invalid value for '--tol': tolerance nan must be a number above 0"),
+        (["solve", "ieee13", "--tol", "-1"],
+         "Invalid value for '--tol': tolerance -1 must be a number above 0"),
+        (["opf", "dual13", "--targets", "1680:2680", "--tol", "nan", "--max-iter", "50"],
+         "Invalid value for '--tol': tolerance nan must be a number above 0"),
+        (["opf", "dual13", "--targets", "1680:2680", "--penalty", "nan"],
+         "Invalid value for '--penalty': nan is not a finite number"),
+        (["opf", "dual13", "--targets", "1680:2680", "--penalty", "inf"],
+         "Invalid value for '--penalty': inf is not a finite number"),
+        (["montecarlo", "ieee13", "--grid", "0:inf:0.05", "-o", "x.csv"],
+         "Invalid value: --grid needs finite LO, HI and STEP"),
+        (["montecarlo", "ieee13", "--grid", "0:1e300:1e-300", "-o", "x.csv"],
+         "Invalid value: --grid 0:1e300:1e-300 spans inf steps"),
+    ], ids=["tol_nan", "tol_negative", "opf_tol_nan", "penalty_nan", "penalty_inf",
+            "grid_inf", "grid_overflow"])
+    def test_non_finite_numeric_option_exit_64(self, capsys, tmp_path, data_dir, argv, detail):
+        # a NaN or an overflow is a usage error, never non-convergence or a traceback
+        paths = {"ieee13": data_dir / "ieee13.json", "dual13": data_dir / "ieee13_dual.json",
+                 "x.csv": tmp_path / "x.csv"}
+        rc, _, err = run(capsys, *(str(paths.get(a, a)) for a in argv))
+        assert rc == 64
+        assert json.loads(err.splitlines()[0]) == {"error": "usage", "detail": detail}
+        assert not any(line.startswith("{") for line in err.splitlines()[1:])
+        assert "Traceback" not in err
+
+    def test_non_finite_weight_exit_1(self, capsys, dual13_path):
+        rc, _, err = run(capsys, "opf", dual13_path, "--targets", "1680:2680", "--rho-e", "inf")
+        assert rc == 1
+        assert err == '{"error": "ValueError", "detail": "weights must be nonnegative numbers"}\n'
+
 
 def _first_sized_line(doc):
     return next(ln for ln in doc["lines"] if "length_ft" in ln)

@@ -352,11 +352,11 @@ class TestFactoredResponse:
             dispatch = {(d.node, d.phase): complex(0.02 - 0.01 * i, 0.01)
                         for i, d in enumerate(net.der_units[:4])}
         cf = net.compiled
-        loads = cf.load_arrays(net.loads)
+        loads = cf.load_arrays(net.loads, dispatch)
         if case == "dual13_dispatch":
             assert net.vvc_units and dispatch
         want = spla.spsolve(*linear_system(net, dispatch))
-        x, res = linear_response(cf, loads.batch(), dispatch)
+        x, res = linear_response(cf, loads.batch())
         assert np.max(np.abs(x[0] - want)) <= 1e-13
         assert res[0] <= 1e-13
 

@@ -85,6 +85,25 @@ class TestLineImpedance:
             LineConfig("ab", [[0.1, 0.2], [0.3]])
         assert str(err.value) == "config: expected a matrix, got rows of lengths [2, 1]"
 
+    @pytest.mark.parametrize("bad, detail", [
+        (math.nan, "impedance entry (nan+0j) is not finite"),
+        (math.inf, "impedance entry (inf+0j) is not finite"),
+        ("x", "impedance entries must be numbers, got [[0.1, 0.2], [0.3, 'x']]"),
+    ])
+    def test_non_finite_and_non_numeric_entries_rejected(self, bad, detail):
+        with pytest.raises(NetworkError) as err:
+            LineSpec("a", "b", "ab", [[0.1, 0.2], [0.3, bad]])
+        assert str(err.value) == f"line a-b: {detail}"
+        with pytest.raises(NetworkError) as err:
+            LineConfig("ab", [[0.1, 0.2], [0.3, bad]])
+        assert str(err.value) == f"config: {detail}"
+
+    def test_non_finite_complex_rows_rejected(self):
+        # rows of Python complex numbers skip numpy, and are checked too
+        with pytest.raises(NetworkError) as err:
+            LineSpec("a", "b", "a", [[complex(0.1, math.inf)]])
+        assert str(err.value) == "line a-b: impedance entry (0.1+infj) is not finite"
+
     @given(st.integers(1, 3), st.integers(0, 2**32 - 1))
     def test_closed_form_determinant_matches_lu(self, k, seed):
         rng = np.random.default_rng(seed)
@@ -100,6 +119,16 @@ class TestSpecs:
             LoadSpec("n1", "a", 0.1, beta_s=0.9, beta_z=0.2)
         with pytest.raises(NetworkError):
             LoadSpec("n1", "a", 0.1, beta_s=1.5, beta_z=-0.5)
+
+    @pytest.mark.parametrize("kwargs, got", [
+        ({"demand": complex(math.nan, 0.0)}, "(nan+0j) and 0.0"),
+        ({"demand": 0.1, "cap": math.inf}, "0.1 and inf"),
+        ({"demand": "x"}, "'x' and 0.0"),
+    ])
+    def test_load_demand_and_cap_must_be_finite_numbers(self, kwargs, got):
+        with pytest.raises(NetworkError) as err:
+            LoadSpec("n", "a", **kwargs)
+        assert str(err.value) == f"load at n.a: demand and cap must be finite numbers, got {got}"
 
     def test_der_capacity_nonnegative(self):
         DerSpec("n1", "a", 0.05)

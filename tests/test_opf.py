@@ -3,8 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from phasorflow.exact import solve_exact
 from phasorflow.linear import solve_linear
-from phasorflow.model import DerSpec, LineSpec, LoadSpec, Network, NetworkError, NodeSpec
+from phasorflow.model import (CompiledFeeder, DerSpec, LineSpec, LoadSpec, Network, NetworkError,
+                              NodeSpec)
 from phasorflow.opf import (
     DispatchConvergenceError,
     InfeasibleError,
@@ -178,6 +180,18 @@ class TestValidation:
         with pytest.raises(ValueError, match="nonneg"):
             build_opf(tiny_dual(), [("m1", "m2")], {"magnitude": -1.0})
 
+    @pytest.mark.parametrize("weight", [np.inf, np.nan])
+    def test_non_finite_weight(self, weight):
+        with pytest.raises(ValueError, match="nonneg"):
+            build_opf(tiny_dual(), [("m1", "m2")], {"magnitude": weight})
+
+    @pytest.mark.parametrize("e_min, e_max", [(-np.inf, 1.1), (0.9, np.inf), (np.nan, 1.1)])
+    def test_non_finite_box(self, e_min, e_max):
+        with pytest.raises(ValueError) as err:
+            build_opf(tiny_dual(), [("m1", "m2")], WEIGHTS, e_min=e_min, e_max=e_max)
+        assert str(err.value) == (f"voltage bounds must be finite, got e_min {e_min} "
+                                  f"and e_max {e_max}")
+
     def test_all_zero_weights(self):
         with pytest.raises(ValueError, match="degenerate"):
             build_opf(tiny_dual(), [("m1", "m2")], {"magnitude": 0.0, "effort": 0.0})
@@ -297,3 +311,20 @@ def test_dispatch_solution_carries_linear_state(dual13):
     direct = solve_linear(dual13, dispatch=got.w)
     for ch in (("1680", "a"), ("2680", "a")):
         assert got.linear.E[ch] == pytest.approx(direct.E[ch], abs=1e-12)
+
+
+def test_dispatch_channels_resolved_once_per_solve(dual13, monkeypatch):
+    # a dispatch becomes load rows in ``load_arrays``; no solver resolves it again
+    calls = []
+    resolve = CompiledFeeder.dispatch_index
+    monkeypatch.setattr(CompiledFeeder, "dispatch_index",
+                        lambda cf, channels: calls.append(cf) or resolve(cf, channels))
+    w = {("1675", "a"): -0.03 + 0.01j, ("1632", "b"): 0.02 - 0.02j}
+    prob = build_opf(dual13, [("1680", "2680")], WEIGHTS)
+    counts = []
+    for solve in (lambda: solve_exact(dual13, dispatch=w), lambda: solve_linear(dual13, w),
+                  lambda: solve_opf(prob)):
+        calls.clear()
+        solve()
+        counts.append(len(calls))
+    assert counts == [1, 1, 1]

@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import DATA
 from phasorflow import load_feeder
-from phasorflow.exact import (_injections, evaluate, jacobian, kcl_residual, newton_batch,
-                              solve_exact)
+from phasorflow.exact import evaluate, jacobian, kcl_residual, newton_batch, solve_exact
 from phasorflow.feeders import network_from_dict, network_to_dict
 from phasorflow.linear import angle_residual, linear_response, solve_linear
 from phasorflow.model import DerSpec, LineSpec, LoadSpec, Network, NodeSpec, VvcSpec
@@ -141,10 +140,9 @@ def test_exact_solution_passes_the_oracles(case):
 def test_batch_rows_equal_single_solves(case):
     net, dispatch, _ = case
     cf = net.compiled
-    loads = cf.load_arrays(net.loads)
+    loads = cf.load_arrays(net.loads, dispatch)
     scales = (0.5, 1.0, 1.5)
-    out = newton_batch(cf, replace(loads, demand=np.array([loads.demand * k for k in scales])),
-                       dispatch)
+    out = newton_batch(cf, replace(loads, demand=np.array([loads.demand * k for k in scales])))
     for row, k in enumerate(scales):
         scaled = replace(net, loads=tuple(replace(ld, demand=ld.demand * k) for ld in net.loads))
         sol = solve_exact(scaled, dispatch=dispatch)
@@ -158,9 +156,9 @@ def test_batch_rows_equal_single_solves(case):
 def test_jacobian_matches_central_difference(case, seed):
     net, dispatch, _ = case
     cf = net.compiled
-    loads = cf.load_arrays(net.loads).batch()
-    inj = np.array(_injections(cf, loads, dispatch))
-    zb = cf.zbus(np.concatenate([loads.channel, cf.dispatch_index(dispatch)]))
+    loads = cf.load_arrays(net.loads, dispatch).batch()
+    inj = np.array(cf.class_loads(loads))
+    zb = cf.zbus(loads.channel)
     flat = cf.v_flat[zb.cls]
     if not len(flat):
         return  # nothing draws power: the Newton system is empty
@@ -213,7 +211,7 @@ def test_linear_solution_passes_the_oracles(case):
     cf = net.compiled
     exact = solve_exact(net, dispatch=dispatch)
     assert angle_residual(net, exact) <= 1e-8
-    x, _ = linear_response(cf, cf.load_arrays(net.loads).batch(), dispatch)
+    x, _ = linear_response(cf, cf.load_arrays(net.loads, dispatch).batch())
     assert np.max(np.abs(x[0] - spla.spsolve(*linear_system(net, dispatch)))) <= 1e-12
     if radial:
         # Lossless and first order in E: per line, flow error = exact losses
